@@ -9,19 +9,11 @@ from .errors import (
     ReferenceIntegrityError,
 )
 from .exact import (
-    BigRational,
     DecimalExpansion,
     GaussianInteger,
-    GaussianRational,
     decimal_expand,
-    gauss_pow,
-    gauss_recip_pow,
     matching_digits,
     parse_rational,
-    rat_add,
-    rat_inv,
-    rat_mul,
-    rat_neg,
 )
 from .kernels import (
     RationalFunction,
@@ -57,7 +49,6 @@ from .pi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "ComparisonError",
     "ComputationParams",
     "DecimalExpansion",
@@ -65,7 +56,6 @@ __all__ = [
     "DomainError",
     "GAUSS_TERMS",
     "GaussianInteger",
-    "GaussianRational",
     "METHODS",
     "OrderError",
     "PiResult",
@@ -82,8 +72,6 @@ __all__ = [
     "decimal_expand",
     "deriv_inv_one_minus_u2",
     "deriv_inv_one_plus_t2",
-    "gauss_pow",
-    "gauss_recip_pow",
     "integrate_all_orders",
     "integrate_even_orders",
     "integration_error",
@@ -96,9 +84,5 @@ __all__ = [
     "pi_derivative_form",
     "pi_gauss",
     "pi_machin",
-    "rat_add",
-    "rat_inv",
-    "rat_mul",
-    "rat_neg",
     "reference_pi",
 ]

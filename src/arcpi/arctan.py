@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .exact import GaussianInteger
 from .kernels import arctan_deriv_scaled
-from .quadrature import ComputationParams, integrate_all_orders
+from .quadrature import ComputationParams, integrate_even_orders
 
 
 def closed_form_block(
@@ -101,4 +101,4 @@ def arctan_derivative_form(x: Fraction, p: ComputationParams) -> Fraction:
     def integrand_deriv(m: int, t: Fraction) -> Fraction:
         return arctan_deriv_scaled(m + 1, x, t)
 
-    return integrate_all_orders(integrand_deriv, p)
+    return integrate_even_orders(integrand_deriv, p)

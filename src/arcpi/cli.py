@@ -7,7 +7,7 @@ Subcommands::
     deriv     evaluate arctan derivatives by one of three routes
     quad      run the corrected midpoint rule on a built-in integrand
     bench     timing/digit tables over the standard ladders
-    selftest  quick built-in property checks, nonzero exit on failure
+    selftest  run the acceptance checks, exit 1 on any failure
 
 All rational inputs are exact "p/q" or integer strings; decimals are
 rejected rather than silently approximated.  JSON output (``--format
@@ -27,7 +27,6 @@ import statistics
 import sys
 import time
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Sequence
 
 from .arctan import arctan_closed_form, arctan_derivative_form
@@ -53,6 +52,7 @@ from .pi import (
     arctan_taylor_reference,
     measure,
     pi_closed_form,
+    pi_derivative_form,
     reference_pi,
 )
 from .quadrature import (
@@ -60,6 +60,8 @@ from .quadrature import (
     integrate_all_orders,
     integrate_even_orders,
     integration_error,
+    midpoint_nodes,
+    monomial_oracle,
 )
 
 LADDER_SIZES = (8, 16, 32, 46)
@@ -83,14 +85,24 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _capped_workers(requested: int | None) -> int | None:
-    """Apply the ARCPI_MAX_WORKERS env cap; None means serial."""
-    if requested is None:
-        return None
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
+    return value
+
+
+def _workers(text: str) -> int:
+    """A worker count, capped by the ARCPI_MAX_WORKERS env var when set."""
+    requested = _positive_int(text)
     cap = os.environ.get("ARCPI_MAX_WORKERS")
-    if cap is not None:
-        requested = min(requested, max(1, int(cap)))
-    return requested
+    if cap is None:
+        return requested
+    try:
+        return min(requested, max(1, int(cap)))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"ARCPI_MAX_WORKERS must be an integer, got {cap!r}") from None
 
 
 def _emit(args: argparse.Namespace, record: dict[str, object],
@@ -117,8 +129,7 @@ def _sizes(text: str) -> tuple[int, ...]:
 
 def _run_pi(args: argparse.Namespace) -> int:
     params = ComputationParams(args.L, args.M)
-    result = measure(args.method, params, args.digits,
-                     workers=_capped_workers(args.workers))
+    result = measure(args.method, params, args.digits, workers=args.workers)
     expansion = decimal_expand(result.approx, args.digits)
     _emit(args, {
         "method": result.method,
@@ -142,8 +153,7 @@ def _run_pi(args: argparse.Namespace) -> int:
 def _run_arctan(args: argparse.Namespace) -> int:
     params = ComputationParams(args.L, args.M)
     start = time.perf_counter()
-    value = arctan_closed_form(args.x, params,
-                               workers=_capped_workers(args.workers))
+    value = arctan_closed_form(args.x, params, workers=args.workers)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
     matched: int | None = None
@@ -214,15 +224,6 @@ def _run_deriv(args: argparse.Namespace) -> int:
 
 # --- quad -----------------------------------------------------------------
 
-def _monomial_oracle(degree: int) -> Callable[[int, Fraction], Fraction]:
-    def f(m: int, t: Fraction) -> Fraction:
-        if m > degree:
-            return Fraction(0)
-        coeff = factorial(degree) // factorial(degree - m)
-        return coeff * t ** (degree - m)
-    return f
-
-
 def _run_quad(args: argparse.Namespace) -> int:
     params = ComputationParams(args.L, args.M)
     if args.integrand == "kernel":
@@ -230,7 +231,7 @@ def _run_quad(args: argparse.Namespace) -> int:
         label = "1/(1+t^2)"
         truth = None
     else:
-        f = _monomial_oracle(args.degree)
+        f = monomial_oracle(args.degree)
         label = f"t^{args.degree}"
         truth = Fraction(1, args.degree + 1)
     rule = integrate_all_orders if args.rule == "eq9" else integrate_even_orders
@@ -338,105 +339,142 @@ def _run_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-# --- selftest -------------------------------------------------------------
+# --- acceptance checks ----------------------------------------------------
+#
+# Criteria 3-7 and 9 of the acceptance suite, defined once: ``arcpi
+# selftest`` runs this table and tests/test_acceptance.py asserts on the
+# same entries.  Each check returns (ok, detail) and never relies on
+# ``assert``, so a broken kernel still fails under ``python -O``.
 
-def _selftest_checks() -> list[tuple[str, Callable[[], None]]]:
-    def paths_agree() -> None:
-        from .pi import pi_derivative_form
-        for L in (1, 2, 3):
-            for M in range(5):
-                p = ComputationParams(L, M)
-                assert pi_closed_form(p) == pi_derivative_form(p), (L, M)
+P = ComputationParams
+F = Fraction
 
-    def arctan_paths_agree() -> None:
-        for x in (Fraction(1, 5), Fraction(-1), Fraction(1)):
-            p = ComputationParams(2, 3)
-            assert arctan_closed_form(x, p) == arctan_derivative_form(x, p), x
 
-    def kernels_match_oracle() -> None:
-        plus = RationalFunction.one_over_one_plus_square()
-        minus = RationalFunction.one_over_one_minus_square()
-        for m in range(9):
-            for t in (Fraction(0), Fraction(1, 3), Fraction(-2, 5)):
-                assert deriv_inv_one_plus_t2(m, t) == \
-                    oracle_derivative(m, plus, t), (m, t)
-                assert deriv_inv_one_minus_u2(m, t) == \
-                    oracle_derivative(m, minus, t), (m, t)
-            if m >= 1:
-                t = Fraction(1, 3)
-                assert arctan_deriv(m, t) == \
-                    oracle_derivative(m - 1, plus, t), m
+def _check_path_identity() -> tuple[bool, str]:
+    sizes = (1, 2, 5, 10, 23)
+    pi_ok = all(
+        pi_closed_form(P(L, M)) == pi_derivative_form(P(L, M))
+        for L in sizes for M in sizes)
+    xs = (F(1), F(-1), F(1, 5), F(-1, 5), F(1, 239))
+    arctan_ok = all(
+        arctan_closed_form(x, P(L, M)) == arctan_derivative_form(x, P(L, M))
+        for x in xs for L in (1, 2, 5, 8) for M in range(9))
+    return (pi_ok and arctan_ok,
+            f"pi grid {len(sizes)**2} pairs, arctan grid {len(xs) * 4 * 9}")
 
-    def sine_form_agrees() -> None:
-        grid = (Fraction(0), Fraction(1, 3), Fraction(-1, 3),
-                Fraction(7, 4), Fraction(-7, 4))
-        for m in range(1, 11):
-            for t in grid:
-                if t == 0 and m % 2 == 0:
-                    continue  # derivative is exactly 0 there; no scale
-                exact = float(arctan_deriv(m, t))
-                approx = arctan_deriv_sine_form(m, float(t))
+
+def _check_oracle_equivalence() -> tuple[bool, str]:
+    plus = RationalFunction.one_over_one_plus_square()
+    minus = RationalFunction.one_over_one_minus_square()
+    t_grid = (F(0), F(1, 3), F(-1, 3), F(1), F(-1), F(7, 5), F(-7, 5),
+              F(-2, 5), F(10))
+    u_grid = [u for u in t_grid if abs(u) != 1]
+    ok = True
+    for m in range(16):
+        for t in t_grid:
+            want = oracle_derivative(m, plus, t)
+            ok &= deriv_inv_one_plus_t2(m, t) == want
+            ok &= arctan_deriv(m + 1, t) == want
+        for u in u_grid:
+            ok &= deriv_inv_one_minus_u2(m, u) == \
+                oracle_derivative(m, minus, u)
+    return ok, ""
+
+
+def _check_sine_form() -> tuple[bool, str]:
+    """The sine/arcsine form stays within 1e-10 of the exact values.
+
+    Grid points whose exact derivative is identically zero (t = 0 at even
+    m, t = +/-1 at m divisible by 4) are held to an absolute 1e-8 bound:
+    the floating value there is argument-rounding noise around a true zero,
+    which no double-precision evaluation of this formula shape can push
+    below roughly 1e-9 at m = 12.
+    """
+    grid = [F(2), F(-2), F(1), F(-1), F(1, 2), F(-1, 2), F(1, 10),
+            F(-1, 10), F(1, 3), F(-1, 3), F(7, 4), F(-7, 4)]
+    worst_rel = 0.0
+    worst_zero = 0.0
+    ok = True
+    for m in range(1, 13):
+        for t in grid + ([F(0)] if m % 2 else []):
+            exact = float(arctan_deriv(m, t))
+            approx = arctan_deriv_sine_form(m, float(t))
+            if exact == 0.0:
+                worst_zero = max(worst_zero, abs(approx))
+                ok &= abs(approx) <= 1e-8
+            else:
                 deviation = abs(approx - exact) / max(1.0, abs(exact))
-                assert deviation <= 1e-10, (m, t)
+                worst_rel = max(worst_rel, deviation)
+                ok &= deviation <= 1e-10
+    return ok, (f"worst rel {worst_rel:.1e}, "
+                f"worst zero-point abs {worst_zero:.1e}")
 
-    def quadrature_exact_on_polynomials() -> None:
-        p = ComputationParams(3, 6)
-        for d in range(p.M + 1):
-            f = _monomial_oracle(d)
-            assert integrate_all_orders(f, p) == Fraction(1, d + 1), d
-            assert integrate_even_orders(f, p) == Fraction(1, d + 1), d
 
-    def rules_agree() -> None:
-        p = ComputationParams(2, 4)
-        assert integrate_all_orders(deriv_inv_one_plus_t2, p) == \
-            integrate_even_orders(deriv_inv_one_plus_t2, p)
+def _check_quadrature() -> tuple[bool, str]:
+    kernel = deriv_inv_one_plus_t2
+    cubic = monomial_oracle(3)
+    rules_ok = all(
+        integrate_all_orders(f, P(L, M)) == integrate_even_orders(f, P(L, M))
+        for L in (1, 2, 3, 4) for M in range(7) for f in (kernel, cubic))
+    poly_ok = all(
+        rule(monomial_oracle(d), P(L, M)) == F(1, d + 1)
+        for L, M in ((1, 4), (3, 6), (5, 5)) for d in range(M + 1)
+        for rule in (integrate_all_orders, integrate_even_orders))
+    midpoint_ok = all(
+        integrate_even_orders(f, P(L, M))
+        == sum(f(0, t) for t in midpoint_nodes(L)) / L
+        for f in (kernel, cubic) for L in (1, 4) for M in (0, 1))
+    return rules_ok and poly_ok and midpoint_ok, ""
 
-    def midpoint_reduction() -> None:
-        f = _monomial_oracle(3)
-        plain = sum(Fraction(2 * ell - 1, 8) ** 3 for ell in (1, 2, 3, 4))
-        plain /= 4
-        for M in (0, 1):
-            assert integrate_even_orders(f, ComputationParams(4, M)) == plain
 
-    def reference_integrity() -> None:
-        reference_pi(150)  # raises ReferenceIntegrityError on any mismatch
+def _check_reference() -> tuple[bool, str]:
+    expansion = reference_pi(1000)  # raises on any embedded-digit mismatch
+    gauss_taylor = 4 * sum(
+        mult * arctan_taylor_reference(F(1, recip), 60)
+        for mult, recip in GAUSS_TERMS)
+    matched = matching_digits(decimal_expand(gauss_taylor, 60),
+                              reference_pi(60))
+    return (len(expansion.digits()) == 1001 and matched >= 55,
+            f"combination matches reference in {matched} digits")
 
-    def gauss_terms_identity() -> None:
-        total = 4 * sum(
-            mult * arctan_taylor_reference(Fraction(1, recip), 60)
-            for mult, recip in GAUSS_TERMS)
-        ref = reference_pi(60)
-        got = decimal_expand(total, 60)
-        assert matching_digits(got, ref) >= 55, matching_digits(got, ref)
 
-    def parallel_matches_serial() -> None:
-        p = ComputationParams(8, 8)
-        assert pi_closed_form(p) == pi_closed_form(p, workers=2)
+def _check_parallel() -> tuple[bool, str]:
+    p = P(46, 46)
+    serial = pi_closed_form(p)
+    parallel = pi_closed_form(p, workers=4)
+    return (serial == parallel
+            and serial.denominator == parallel.denominator), ""
 
-    return [
-        ("pi paths identical on grid", paths_agree),
-        ("arctan paths identical", arctan_paths_agree),
-        ("kernel closed forms match oracle", kernels_match_oracle),
-        ("sine form within 1e-10", sine_form_agrees),
-        ("quadrature exact on polynomials", quadrature_exact_on_polynomials),
-        ("both rules agree on even grid", rules_agree),
-        ("plain midpoint at M <= 1", midpoint_reduction),
-        ("reference digits verified", reference_integrity),
-        ("nine-term combination hits reference", gauss_terms_identity),
-        ("parallel equals serial", parallel_matches_serial),
-    ]
+
+ACCEPTANCE_CHECKS: tuple[
+    tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
+    (3, "both evaluation paths give identical rationals",
+     _check_path_identity),
+    (4, "closed forms equal the quotient-rule oracle, m <= 15",
+     _check_oracle_equivalence),
+    (5, "floating sine form agrees within tolerance", _check_sine_form),
+    (6, "quadrature identities and polynomial exactness", _check_quadrature),
+    (7, "dual-sourced reference verified to 1000 digits", _check_reference),
+    (9, "parallel and serial sums are the identical rational",
+     _check_parallel),
+)
+
+
+def check_line(number: int, label: str, ok: bool, detail: str = "") -> str:
+    """One PASS/FAIL report line for an acceptance criterion."""
+    suffix = f" [{detail}]" if detail else ""
+    return f"{'PASS' if ok else 'FAIL'} criterion {number}: {label}{suffix}"
 
 
 def _run_selftest(args: argparse.Namespace) -> int:
     failures = 0
-    for name, check in _selftest_checks():
+    for number, label, check in ACCEPTANCE_CHECKS:
         try:
-            check()
+            ok, detail = check()
         except Exception as exc:  # report every failure, keep going
-            failures += 1
-            print(f"FAIL {name}: {exc!r}")
-        else:
-            print(f"ok   {name}")
+            ok, detail = False, repr(exc)
+        failures += not ok
+        print(check_line(number, label, ok, detail), flush=True)
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return 1
@@ -459,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_params(p: argparse.ArgumentParser, L: int, M: int) -> None:
         p.add_argument("-L", type=_positive_int, default=L,
                        help=f"subinterval count (default {L})")
-        p.add_argument("-M", type=int, default=M,
+        p.add_argument("-M", type=_non_negative_int, default=M,
                        help=f"highest correction order (default {M})")
 
     p = sub.add_parser("pi", help="compute pi and grade digits")
@@ -469,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "combination; machin: two-term reference")
     add_params(p, 46, 46)
     p.add_argument("--digits", type=_positive_int, default=400)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_workers, default=None)
     add_format(p)
     p.set_defaults(run=_run_pi)
 
@@ -480,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=_positive_int, default=30)
     p.add_argument("--exact", action="store_true",
                    help="print the exact rational instead of decimals")
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_workers, default=None)
     add_format(p)
     p.set_defaults(run=_run_arctan)
 
@@ -500,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--integrand", choices=("kernel", "monomial"),
                    default="kernel",
                    help="kernel: 1/(1+t^2); monomial: t^degree")
-    p.add_argument("--degree", type=int, default=3,
+    p.add_argument("--degree", type=_non_negative_int, default=3,
                    help="monomial degree (default 3)")
     add_params(p, 5, 5)
     p.add_argument("--rule", choices=("eq9", "eq10"), default="eq9",
@@ -522,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(run=_run_bench)
 
-    p = sub.add_parser("selftest", help="built-in property checks")
+    p = sub.add_parser("selftest", help="run the acceptance checks")
     add_format(p)
     p.set_defaults(run=_run_selftest)
 

@@ -1,13 +1,13 @@
-"""Exact arbitrary-precision arithmetic: rationals, Gaussian integers and
-Gaussian rationals, plus decimal expansion and digit-agreement counting.
+"""Exact arbitrary-precision arithmetic: rationals and Gaussian integers,
+plus decimal expansion and digit-agreement counting.
 
 Rationals are python's ``fractions.Fraction``, which already keeps the
 canonical form this library relies on everywhere: positive denominator,
-coprime numerator/denominator, zero stored as 0/1.  The Gaussian types are
-small immutable wrappers over plain ints / Fractions; reciprocal powers of
-a Gaussian integer z are computed as conj(z**k) / norm(z**k) so that all
-the heavy lifting stays in integer arithmetic and a single big denominator
-appears only at the end.
+coprime numerator/denominator, zero stored as 0/1.  ``GaussianInteger`` is
+a small immutable wrapper over two plain ints; every complex power the
+library needs is a nonnegative power of one, so all the heavy lifting
+stays in integer arithmetic and a single big denominator appears only
+when the result is turned into a ``Fraction``.
 
 Every value here is immutable and every operation is a pure function, so
 values can be shipped freely between worker processes.
@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ComparisonError
-
-BigRational = Fraction
 
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -39,26 +37,6 @@ def parse_rational(text: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
-
-
-def rat_add(a: Fraction, b: Fraction) -> Fraction:
-    """Exact sum, canonical form."""
-    return a + b
-
-
-def rat_mul(a: Fraction, b: Fraction) -> Fraction:
-    """Exact product, canonical form."""
-    return a * b
-
-
-def rat_neg(a: Fraction) -> Fraction:
-    """Exact negation."""
-    return -a
-
-
-def rat_inv(a: Fraction) -> Fraction:
-    """Exact reciprocal; raises ZeroDivisionError for 0."""
-    return 1 / a
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,9 +61,6 @@ class GaussianInteger:
     def __neg__(self) -> GaussianInteger:
         return GaussianInteger(-self.re, -self.im)
 
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
     def conjugate(self) -> GaussianInteger:
         return GaussianInteger(self.re, -self.im)
 
@@ -95,7 +70,7 @@ class GaussianInteger:
 
     def __pow__(self, k: int) -> GaussianInteger:
         if k < 0:
-            raise ValueError("negative exponent; use gauss_recip_pow")
+            raise ValueError("GaussianInteger powers need k >= 0")
         result = GaussianInteger(1, 0)  # 0**0 == 1 by convention
         base = self
         while k:
@@ -107,69 +82,6 @@ class GaussianInteger:
 
     def __str__(self) -> str:
         return f"{self.re}{self.im:+d}i"
-
-
-def gauss_pow(z: GaussianInteger, k: int) -> GaussianInteger:
-    """z**k for k >= 0 by repeated squaring (0**0 == 1)."""
-    return z**k
-
-
-def gauss_recip_pow(z: GaussianInteger, k: int) -> GaussianRational:
-    """z**(-k) for k >= 1, computed as conj(z**k) / norm(z**k).
-
-    Powering happens entirely over integers; the norm becomes the single
-    shared denominator of both components.
-    """
-    if k < 1:
-        raise ValueError("exponent must be positive")
-    if not z:
-        raise ZeroDivisionError("reciprocal power of 0 + 0i")
-    zk = z**k
-    n = zk.norm()
-    return GaussianRational(Fraction(zk.re, n), Fraction(-zk.im, n))
-
-
-@dataclass(frozen=True, slots=True)
-class GaussianRational:
-    """Complex number with exact rational components."""
-
-    re: Fraction
-    im: Fraction
-
-    @classmethod
-    def from_integer(cls, z: GaussianInteger) -> GaussianRational:
-        return cls(Fraction(z.re), Fraction(z.im))
-
-    def __add__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussianRational) -> GaussianRational:
-        return GaussianRational(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: GaussianRational | Fraction | int) -> GaussianRational:
-        if isinstance(other, GaussianRational):
-            return GaussianRational(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return GaussianRational(self.re * other, self.im * other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> GaussianRational:
-        return GaussianRational(-self.re, -self.im)
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-    def conjugate(self) -> GaussianRational:
-        return GaussianRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def __str__(self) -> str:
-        return f"({self.re}) + ({self.im})i"
 
 
 @dataclass(frozen=True, slots=True)

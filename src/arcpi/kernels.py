@@ -2,7 +2,7 @@
 1/(1 - u**2) and 1/(1 + t**2), and for arctan, plus an independent
 quotient-rule differentiation oracle used to validate them.
 
-The closed forms all come from partial fractions.  Writing
+Partial fractions give both closed forms.  Writing
 
     1/(1 - u**2) = (1/2) (1/(u + 1) - 1/(u - 1))
 
@@ -11,12 +11,17 @@ and differentiating term by term gives, for every m >= 0,
     d^m/du^m 1/(1 - u**2)
         = (-1)^m (m!/2) ((u + 1)**-(m+1) - (u - 1)**-(m+1)).
 
-Substituting u -> i t turns this into a formula for 1/(1 + t**2) whose two
-terms are complex conjugates, so the imaginary parts cancel exactly; since
-arctan' = 1/(1 + t**2), shifting the order down by one yields the arctan
-derivatives as well.  Everything is evaluated in exact Gaussian-rational
-arithmetic, and a nonzero residual imaginary part is treated as a bug, not
-an error condition.
+Substituting u -> i t turns the same bracket into a pair of complex
+conjugates, so for arctan, whose derivative is 1/(1 + t**2), only an
+imaginary part survives.  For a rational t = p/q it collapses to a single
+Gaussian-integer power, for every m >= 1:
+
+    arctan^(m)(p/q)
+        = (-1)^(m+1) (m-1)! q**m Im((p + i q)**m) / (p**2 + q**2)**m.
+
+The derivatives of 1/(1 + t**2) are the arctan derivatives one order up.
+No complex division happens anywhere: the power runs over integers and
+one Fraction is formed at the end.
 """
 
 from __future__ import annotations
@@ -28,32 +33,7 @@ from math import factorial
 from typing import Sequence
 
 from .errors import OrderError, PoleError
-from .exact import GaussianInteger, GaussianRational, gauss_recip_pow
-
-
-def _recip_pow(re: Fraction, im: Fraction, k: int) -> GaussianRational:
-    """(re + im*i)**(-k) for k >= 1, exactly.
-
-    Scales through the common integer denominator first so the powering
-    runs over Gaussian integers.
-    """
-    d = math.lcm(re.denominator, im.denominator)
-    g = GaussianInteger(int(re * d), int(im * d))
-    return gauss_recip_pow(g, k) * (Fraction(d) ** k)
-
-
-def _times_neg_i_pow(z: GaussianRational, m: int) -> GaussianRational:
-    """z * (-i)**m via component rotation."""
-    for _ in range(m % 4):
-        z = GaussianRational(z.im, -z.re)
-    return z
-
-
-def _real_part(z: GaussianRational) -> Fraction:
-    if z.im:
-        raise AssertionError(
-            f"imaginary part failed to cancel: {z} (arithmetic bug)")
-    return z.re
+from .exact import GaussianInteger
 
 
 def deriv_inv_one_minus_u2(m: int, u: Fraction) -> Fraction:
@@ -73,31 +53,27 @@ def deriv_inv_one_minus_u2(m: int, u: Fraction) -> Fraction:
 def deriv_inv_one_plus_t2(m: int, t: Fraction) -> Fraction:
     """m-th derivative of 1/(1 + t**2) at t, for m >= 0.
 
-    Evaluates (-i)**m (m!/2) ((i t + 1)**-(m+1) - (i t - 1)**-(m+1)); the
-    two terms are conjugates, so the result is real for every rational t.
+    1/(1 + t**2) is the derivative of arctan, so this is the (m+1)-th
+    arctan derivative.
     """
     if m < 0:
         raise OrderError("derivative order must be >= 0")
-    plus = _recip_pow(Fraction(1), t, m + 1)
-    minus = _recip_pow(Fraction(-1), t, m + 1)
-    z = _times_neg_i_pow(plus - minus, m) * Fraction(factorial(m), 2)
-    return _real_part(z)
+    return arctan_deriv(m + 1, t)
 
 
 def arctan_deriv(m: int, t: Fraction) -> Fraction:
     """m-th derivative of arctan at t, for m >= 1.
 
-    Evaluates ((-1)**m (m-1)! / 2i) ((t+i)**-m - (t-i)**-m).  Order 0 is
+    For t = p/q evaluates (-1)**(m+1) (m-1)! q**m Im((p+iq)**m)
+    / (p**2+q**2)**m with one Gaussian-integer power.  Order 0 is
     excluded: arctan itself is not a rational function.
     """
     if m < 1:
         raise OrderError("arctan derivatives need order >= 1")
-    plus = _recip_pow(t, Fraction(1), m)
-    minus = _recip_pow(t, Fraction(-1), m)
-    coeff = Fraction((-1) ** m * factorial(m - 1), 2)
-    # 1/(2i) == -i/2: apply the i-rotation once
-    z = _times_neg_i_pow((plus - minus) * coeff, 1)
-    return _real_part(z)
+    p, q = t.numerator, t.denominator
+    w = GaussianInteger(p, q) ** m
+    return Fraction((-1) ** (m + 1) * factorial(m - 1) * q**m * w.im,
+                    (p * p + q * q) ** m)
 
 
 def arctan_deriv_scaled(m: int, x: Fraction, t: Fraction) -> Fraction:
@@ -210,17 +186,6 @@ class RationalFunction:
     def one_over_one_minus_square(cls) -> RationalFunction:
         """1 / (1 - u**2)"""
         return cls.from_pair([1], [1, 0, -1])
-
-    @property
-    def numerator(self) -> Poly:
-        return self.num
-
-    @property
-    def denominator(self) -> Poly:
-        out = _poly([1])
-        for _ in range(self.power):
-            out = _poly_mul(out, self.base)
-        return out
 
     def derivative(self) -> RationalFunction:
         new_num = _poly_sub(

@@ -28,7 +28,7 @@ from .arctan import arctan_closed_form
 from .errors import DomainError, ReferenceIntegrityError
 from .exact import DecimalExpansion, decimal_expand, matching_digits
 from .kernels import deriv_inv_one_plus_t2
-from .quadrature import ComputationParams, integrate_all_orders
+from .quadrature import ComputationParams, integrate_even_orders
 
 # Nine-term Gauss decomposition: pi = 4 * sum of multiplier * arctan(1/recip).
 # The multiplier list is pinned by test_acceptance: the sum must stay exact to
@@ -75,7 +75,7 @@ def pi_derivative_form(p: ComputationParams) -> Fraction:
     midpoint nodes, evaluated in closed form.  Exactly equal to
     ``pi_closed_form`` for every (L, M).
     """
-    return 4 * integrate_all_orders(deriv_inv_one_plus_t2, p)
+    return 4 * integrate_even_orders(deriv_inv_one_plus_t2, p)
 
 
 def pi_gauss(p: ComputationParams, workers: int | None = None) -> Fraction:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import Callable, Sequence
 
 DerivativeOracle = Callable[[int, Fraction], Fraction]
@@ -48,6 +49,19 @@ class ComputationParams:
 def midpoint_nodes(L: int) -> list[Fraction]:
     """The L subinterval midpoints (2*l - 1) / (2*L), l = 1..L."""
     return [Fraction(2 * l - 1, 2 * L) for l in range(1, L + 1)]
+
+
+def monomial_oracle(degree: int) -> DerivativeOracle:
+    """Derivative oracle for t**degree, degree >= 0; its integral is
+    1/(degree + 1)."""
+    if degree < 0:
+        raise ValueError("monomial degree must be >= 0")
+
+    def f(m: int, t: Fraction) -> Fraction:
+        if m > degree:
+            return Fraction(0)
+        return factorial(degree) // factorial(degree - m) * t ** (degree - m)
+    return f
 
 
 def _all_order_weights(p: ComputationParams) -> list[Fraction]:

@@ -1,45 +1,22 @@
 """Acceptance gate: one test per shipping criterion, one printed line each.
 
 Each test prints PASS/FAIL through the capture bypass so the verdict is
-visible in any pytest run, then asserts.  Expensive intermediate results
-are cached at module level; everything here is deterministic exact
-arithmetic except wall-clock fields, which are never asserted on.
+visible in any pytest run, then asserts.  Criteria 3-7 and 9 run the
+entries of ``cli.ACCEPTANCE_CHECKS``, the same table ``arcpi selftest``
+runs.  Expensive intermediate results are cached at module level;
+everything here is deterministic exact arithmetic except wall-clock
+fields, which are never asserted on.
 """
 
 import json
-from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 import pytest
 
 from arcpi import cli
-from arcpi.arctan import arctan_closed_form, arctan_derivative_form
-from arcpi.exact import decimal_expand, matching_digits
-from arcpi.kernels import (
-    RationalFunction,
-    arctan_deriv,
-    arctan_deriv_sine_form,
-    deriv_inv_one_minus_u2,
-    deriv_inv_one_plus_t2,
-    oracle_derivative,
-)
-from arcpi.pi import (
-    GAUSS_TERMS,
-    arctan_taylor_reference,
-    measure,
-    pi_closed_form,
-    pi_derivative_form,
-    reference_pi,
-)
-from arcpi.quadrature import (
-    ComputationParams,
-    integrate_all_orders,
-    integrate_even_orders,
-    midpoint_nodes,
-)
+from arcpi.pi import measure
+from arcpi.quadrature import ComputationParams
 
-F = Fraction
 P = ComputationParams
 
 # Matched-digit counts observed on the first verified run; exact arithmetic
@@ -48,12 +25,21 @@ EQ17_LADDER = {8: 15, 16: 32, 32: 69, 46: 105}
 GAUSS_AT_46 = 274
 
 
+CHECKS = {number: (label, check)
+          for number, label, check in cli.ACCEPTANCE_CHECKS}
+
+
 def _report(capsys, number: int, label: str, ok: bool, detail: str = ""):
+    line = cli.check_line(number, label, ok, detail)
     with capsys.disabled():
-        status = "PASS" if ok else "FAIL"
-        suffix = f" [{detail}]" if detail else ""
-        print(f"{status} criterion {number}: {label}{suffix}", flush=True)
-    assert ok, f"criterion {number}: {label}{suffix}"
+        print(line, flush=True)
+    assert ok, line
+
+
+def _run_check(capsys, number: int):
+    label, check = CHECKS[number]
+    ok, detail = check()
+    _report(capsys, number, label, ok, detail)
 
 
 @lru_cache(maxsize=None)
@@ -87,102 +73,23 @@ def test_criterion_2_gauss_reproduction(capsys):
 
 
 def test_criterion_3_exact_path_identity(capsys):
-    sizes = (1, 2, 5, 10, 23)
-    pi_ok = all(
-        pi_closed_form(P(L, M)) == pi_derivative_form(P(L, M))
-        for L in sizes for M in sizes)
-    xs = (F(1), F(-1), F(1, 5), F(-1, 5), F(1, 239))
-    arctan_ok = all(
-        arctan_closed_form(x, P(L, M)) == arctan_derivative_form(x, P(L, M))
-        for x in xs for L in (1, 2, 5, 8) for M in range(9))
-    _report(capsys, 3, "both evaluation paths give identical rationals",
-            pi_ok and arctan_ok,
-            f"pi grid {len(sizes)**2} pairs, arctan grid {len(xs) * 4 * 9}")
+    _run_check(capsys, 3)
 
 
 def test_criterion_4_oracle_equivalence(capsys):
-    plus = RationalFunction.one_over_one_plus_square()
-    minus = RationalFunction.one_over_one_minus_square()
-    t_grid = [F(0), F(1, 3), F(-1, 3), F(1), F(-1), F(7, 5), F(-7, 5), F(10)]
-    u_grid = [u for u in t_grid if abs(u) != 1]
-    ok = True
-    for m in range(16):
-        for t in t_grid:
-            ok &= deriv_inv_one_plus_t2(m, t) == oracle_derivative(m, plus, t)
-            if m >= 1:
-                ok &= arctan_deriv(m, t) == oracle_derivative(m - 1, plus, t)
-        for u in u_grid:
-            ok &= deriv_inv_one_minus_u2(m, u) == \
-                oracle_derivative(m, minus, u)
-    _report(capsys, 4, "closed forms equal the quotient-rule oracle, m <= 15",
-            ok)
+    _run_check(capsys, 4)
 
 
 def test_criterion_5_floating_cross_formula(capsys):
-    """The sine/arcsine form stays within 1e-10 of the exact values.
-
-    Grid points whose exact derivative is identically zero (t = 0 at even
-    m, t = +/-1 at m divisible by 4) are held to an absolute 1e-8 bound:
-    the floating value there is argument-rounding noise around a true zero,
-    which no double-precision evaluation of this formula shape can push
-    below roughly 1e-9 at m = 12.
-    """
-    grid = [F(2), F(-2), F(1), F(-1), F(1, 2), F(-1, 2), F(1, 10), F(-1, 10)]
-    worst_rel = 0.0
-    worst_zero = 0.0
-    ok = True
-    for m in range(1, 13):
-        points = grid + ([F(0)] if m % 2 else [])
-        for t in points:
-            exact = float(arctan_deriv(m, t))
-            approx = arctan_deriv_sine_form(m, float(t))
-            if exact == 0.0:
-                worst_zero = max(worst_zero, abs(approx))
-                ok &= abs(approx) <= 1e-8
-            else:
-                deviation = abs(approx - exact) / max(1.0, abs(exact))
-                worst_rel = max(worst_rel, deviation)
-                ok &= deviation <= 1e-10
-    _report(capsys, 5, "floating sine form agrees within tolerance", ok,
-            f"worst rel {worst_rel:.1e}, worst zero-point abs {worst_zero:.1e}")
-
-
-def _monomial(degree):
-    def f(m, t):
-        if m > degree:
-            return F(0)
-        return factorial(degree) // factorial(degree - m) * t ** (degree - m)
-    return f
+    _run_check(capsys, 5)
 
 
 def test_criterion_6_quadrature_properties(capsys):
-    kernel = deriv_inv_one_plus_t2
-    rules_ok = all(
-        integrate_all_orders(f, P(L, M)) == integrate_even_orders(f, P(L, M))
-        for L in (1, 2, 3, 4) for M in range(7)
-        for f in (kernel, _monomial(3)))
-    poly_ok = all(
-        integrate_even_orders(_monomial(d), P(L, M)) == F(1, d + 1)
-        for L, M in ((1, 4), (3, 6), (5, 5)) for d in range(M + 1))
-    midpoint_ok = True
-    for L in (1, 4):
-        plain = sum(kernel(0, t) for t in midpoint_nodes(L)) / L
-        for M in (0, 1):
-            midpoint_ok &= integrate_even_orders(kernel, P(L, M)) == plain
-    _report(capsys, 6, "quadrature identities and polynomial exactness",
-            rules_ok and poly_ok and midpoint_ok)
+    _run_check(capsys, 6)
 
 
 def test_criterion_7_reference_integrity(capsys):
-    expansion = reference_pi(1000)  # raises on any embedded-digit mismatch
-    gauss_taylor = 4 * sum(
-        mult * arctan_taylor_reference(F(1, recip), 60)
-        for mult, recip in GAUSS_TERMS)
-    matched = matching_digits(decimal_expand(gauss_taylor, 60),
-                              reference_pi(60))
-    ok = len(expansion.digits()) == 1001 and matched >= 50
-    _report(capsys, 7, "dual-sourced reference verified to 1000 digits",
-            ok, f"combination matches reference in {matched} digits")
+    _run_check(capsys, 7)
 
 
 def test_criterion_8_convergence_ladder(capsys):
@@ -195,11 +102,7 @@ def test_criterion_8_convergence_ladder(capsys):
 
 
 def test_criterion_9_parallel_determinism(capsys):
-    p = P(46, 46)
-    serial = pi_closed_form(p)
-    parallel = pi_closed_form(p, workers=4)
-    _report(capsys, 9, "parallel and serial sums are the identical rational",
-            serial == parallel and serial.denominator == parallel.denominator)
+    _run_check(capsys, 9)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcpi.arctan import (
     arctan_closed_form,
     arctan_derivative_form,
     closed_form_block,
 )
-from arcpi.exact import GaussianInteger, GaussianRational, gauss_recip_pow
 from arcpi.pi import arctan_taylor_reference, reference_pi
 from arcpi.quadrature import ComputationParams
 
@@ -18,32 +18,39 @@ F = Fraction
 P = ComputationParams
 
 
-def _recip_pow_rational(w: GaussianRational, k: int) -> GaussianRational:
-    d = math.lcm(w.re.denominator, w.im.denominator)
-    g = GaussianInteger(int(w.re * d), int(w.im * d))
-    return gauss_recip_pow(g, k) * (F(d) ** k)
+def _pair_recip_pow(z: tuple[F, F], k: int) -> tuple[F, F]:
+    """(re + im*i)**(-k) over Fraction pairs, as (conj(z)/norm(z))**k."""
+    re, im = z
+    norm = re * re + im * im
+    inv_re, inv_im = re / norm, -im / norm
+    out_re, out_im = F(1), F(0)
+    for _ in range(k):
+        out_re, out_im = (out_re * inv_re - out_im * inv_im,
+                          out_re * inv_im + out_im * inv_re)
+    return out_re, out_im
 
 
 def arctan_complex_bracket(x: F, p: P) -> F:
     """The same truncated sum written with explicit conjugate brackets.
 
     i * sum over l, m of (1/(2m-1)) * (w^-(2m-1) - conj(w)^-(2m-1)) with
-    w = (2l-1) + 2iL/x.  Both bracket terms are computed independently;
-    nothing is shared with the production real-reduction path.
+    w = (2l-1) + 2iL/x.  Both bracket terms are computed independently,
+    over Fraction pairs; nothing is shared with the production
+    Gaussian-integer path.
     """
     if x == 0:
         return F(0)
-    total = GaussianRational(F(0), F(0))
+    total_re = total_im = F(0)
     for ell in range(1, p.L + 1):
-        w = GaussianRational(F(2 * ell - 1), F(2 * p.L) / x)
+        w = (F(2 * ell - 1), F(2 * p.L) / x)
+        w_bar = (w[0], -w[1])
         for m in range(1, p.inner_terms + 1):
             k = 2 * m - 1
-            bracket = _recip_pow_rational(w, k) - \
-                _recip_pow_rational(w.conjugate(), k)
-            total = total + bracket * F(1, k)
-    result = GaussianRational(-total.im, total.re)  # multiply by i
-    assert result.im == 0
-    return result.re
+            a, b = _pair_recip_pow(w, k), _pair_recip_pow(w_bar, k)
+            total_re += (a[0] - b[0]) / k
+            total_im += (a[1] - b[1]) / k
+    assert total_re == 0  # i * total must be real
+    return -total_im
 
 
 class TestClosedForm:
@@ -92,6 +99,18 @@ def test_paths_identical(x, L):
         p = P(L, M)
         assert arctan_closed_form(x, p) == arctan_derivative_form(x, p), \
             (x, L, M)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.fractions(min_value=-30, max_value=30, max_denominator=30)
+    .filter(lambda x: x != 0),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=6),
+)
+def test_paths_identical_on_random_rationals(x, L, M):
+    p = P(L, M)
+    assert arctan_closed_form(x, p) == arctan_derivative_form(x, p)
 
 
 @pytest.mark.parametrize("x", [F(1), F(1, 5), F(-2, 7), F(239)])

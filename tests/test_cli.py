@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -63,6 +64,14 @@ class TestPiCommand:
         record = run_json(capsys, "pi", "-L", "4", "-M", "4",
                           "--digits", "8", "--workers", "64")
         assert record["approx_decimal"].startswith("3.141")
+
+    def test_malformed_worker_env_cap_is_usage_error(self, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("ARCPI_MAX_WORKERS", "abc")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pi", "-L", "2", "-M", "2", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "ARCPI_MAX_WORKERS" in capsys.readouterr().err
 
     def test_digits_beyond_reference_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "pi", "-L", "1", "-M", "1",
@@ -161,6 +170,13 @@ class TestQuadCommand:
                           "--rule", "eq10", "--digits", "12")
         assert record["value"].startswith("0.78539")
 
+    def test_negative_degree_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["quad", "--integrand", "monomial", "--degree", "-2",
+                      "-L", "2", "-M", "2", "--exact"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
     def test_rules_give_same_value(self, capsys):
         a = run_json(capsys, "quad", "-L", "3", "-M", "5", "--exact")
         b = run_json(capsys, "quad", "-L", "3", "-M", "5", "--rule", "eq10",
@@ -209,6 +225,25 @@ class TestSelftest:
         assert "all checks passed" in out
         assert "FAIL" not in out
 
+    def test_broken_kernel_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "deriv_inv_one_plus_t2",
+                            lambda m, t: Fraction(0))
+        code, out, _ = run_cli(capsys, "selftest")
+        assert code == 1
+        assert "FAIL criterion 4" in out
+
+    def test_broken_kernel_fails_under_optimize_flag(self):
+        """The checks must not depend on ``assert``, which -O strips."""
+        script = (
+            "from fractions import Fraction\n"
+            "from arcpi import cli\n"
+            "cli.deriv_inv_one_plus_t2 = lambda m, t: Fraction(0)\n"
+            "raise SystemExit(cli.main(['selftest']))\n")
+        out = subprocess.run([sys.executable, "-O", "-c", script],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 1, out.stdout + out.stderr
+        assert "FAIL criterion 4" in out.stdout
+
 
 class TestErrorPaths:
     def test_unknown_subcommand(self, capsys):
@@ -220,6 +255,12 @@ class TestErrorPaths:
     def test_zero_L_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["pi", "-L", "0"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
+    def test_negative_M_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["pi", "-L", "2", "-M", "-1"])
         assert exc.value.code == 2
         capsys.readouterr()
 

@@ -8,16 +8,9 @@ from hypothesis import given, strategies as st
 from arcpi.exact import (
     ComparisonError,
     GaussianInteger,
-    GaussianRational,
     decimal_expand,
-    gauss_pow,
-    gauss_recip_pow,
     matching_digits,
     parse_rational,
-    rat_add,
-    rat_inv,
-    rat_mul,
-    rat_neg,
 )
 
 F = Fraction
@@ -45,29 +38,8 @@ class TestParseRational:
             parse_rational("1/0")
 
 
-def test_rat_helpers():
-    assert rat_add(F(1, 2), F(1, 3)) == F(5, 6)
-    assert rat_mul(F(6, 4), F(2, 3)) == F(1)
-    assert rat_inv(F(-3, 7)) == F(-7, 3)
-    assert rat_neg(F(2, 5)) == F(-2, 5)
-    with pytest.raises(ZeroDivisionError):
-        rat_inv(F(0))
-
-
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=999)
-
-
-@given(rationals)
-def test_additive_inverse(a):
-    assert rat_add(a, rat_neg(a)) == 0
-
-
-@given(rationals.filter(lambda a: a != 0))
-def test_multiplicative_inverse(a):
-    product = rat_mul(a, rat_inv(a))
-    assert product == 1
-    assert product.denominator == 1
 
 
 class TestGaussianInteger:
@@ -75,12 +47,12 @@ class TestGaussianInteger:
         assert GaussianInteger(1, 2) ** 2 == GaussianInteger(-3, 4)
 
     def test_zeroth_power_is_one(self):
-        assert gauss_pow(GaussianInteger(3, 2), 0) == GaussianInteger(1, 0)
-        assert gauss_pow(GaussianInteger(0, 0), 0) == GaussianInteger(1, 0)
+        assert GaussianInteger(3, 2) ** 0 == GaussianInteger(1, 0)
+        assert GaussianInteger(0, 0) ** 0 == GaussianInteger(1, 0)
 
     def test_cube(self):
         # (3+2i)^2 = 5+12i, then (5+12i)(3+2i) = -9+46i
-        assert gauss_pow(GaussianInteger(3, 2), 3) == GaussianInteger(-9, 46)
+        assert GaussianInteger(3, 2) ** 3 == GaussianInteger(-9, 46)
 
     def test_norm_and_conjugate(self):
         z = GaussianInteger(1, 2)
@@ -99,47 +71,13 @@ class TestGaussianInteger:
         assert a * b == GaussianInteger(-2, 11)
 
 
-class TestReciprocalPowers:
-    def test_first_power(self):
-        assert gauss_recip_pow(GaussianInteger(1, 2), 1) == \
-            GaussianRational(F(1, 5), F(-2, 5))
-
-    def test_cube_via_conjugate_over_norm(self):
-        # (1+2i)^3 = -11-2i with norm 125
-        assert gauss_recip_pow(GaussianInteger(1, 2), 3) == \
-            GaussianRational(F(-11, 125), F(2, 125))
-
-    def test_i_to_the_minus_four(self):
-        assert gauss_recip_pow(GaussianInteger(0, 1), 4) == \
-            GaussianRational(F(1), F(0))
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            gauss_recip_pow(GaussianInteger(0, 0), 2)
-
-    def test_nonpositive_exponent_rejected(self):
-        with pytest.raises(ValueError):
-            gauss_recip_pow(GaussianInteger(1, 1), 0)
-
-
 small_ints = st.integers(min_value=-30, max_value=30)
-
-
-@given(small_ints, small_ints, st.integers(min_value=1, max_value=6))
-def test_power_times_reciprocal_power_is_one(re, im, k):
-    z = GaussianInteger(re, im)
-    if z.norm() == 0:
-        return
-    w = gauss_pow(z, k)
-    r = gauss_recip_pow(z, k)
-    product = GaussianRational(F(w.re), F(w.im)) * r
-    assert product == GaussianRational(F(1), F(0))
 
 
 @given(small_ints, small_ints, st.integers(min_value=0, max_value=6))
 def test_conjugate_commutes_with_power(re, im, k):
     z = GaussianInteger(re, im)
-    assert gauss_pow(z.conjugate(), k) == gauss_pow(z, k).conjugate()
+    assert z.conjugate() ** k == (z**k).conjugate()
 
 
 class TestDecimalExpand:

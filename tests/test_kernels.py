@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcpi.errors import OrderError, PoleError
 from arcpi.kernels import (
@@ -44,7 +45,7 @@ class TestEvenKernel:
 
 
 class TestOddKernel:
-    """d^m/dt^m of 1/(1 + t**2); no real poles, imaginary parts cancel."""
+    """d^m/dt^m of 1/(1 + t**2); no real poles."""
 
     @pytest.mark.parametrize("m, t, want", [
         (0, F(2), F(1, 5)),
@@ -194,3 +195,10 @@ def test_oracle_agrees_with_even_kernel(m):
 def test_oracle_agrees_with_arctan_derivative(m):
     for t in T_GRID:
         assert arctan_deriv(m, t) == oracle_derivative(m - 1, ONE_PLUS, t)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0, max_value=12),
+       st.fractions(min_value=-100, max_value=100, max_denominator=100))
+def test_odd_kernel_matches_oracle_on_random_rationals(m, t):
+    assert deriv_inv_one_plus_t2(m, t) == oracle_derivative(m, ONE_PLUS, t)

@@ -1,7 +1,6 @@
 """Derivative-corrected midpoint rules on [0, 1]."""
 
 from fractions import Fraction
-from math import factorial
 
 import pytest
 
@@ -12,18 +11,10 @@ from arcpi.quadrature import (
     integrate_even_orders,
     integration_error,
     midpoint_nodes,
+    monomial_oracle,
 )
 
 F = Fraction
-
-
-def monomial(degree):
-    """Derivative oracle for t**degree."""
-    def f(m, t):
-        if m > degree:
-            return F(0)
-        return factorial(degree) // factorial(degree - m) * t ** (degree - m)
-    return f
 
 
 def constant(m, t):
@@ -47,6 +38,11 @@ class TestComputationParams:
         assert ComputationParams(1, M).inner_terms == want
 
 
+def test_monomial_oracle_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        monomial_oracle(-2)
+
+
 def test_midpoint_nodes():
     assert midpoint_nodes(1) == [F(1, 2)]
     assert midpoint_nodes(2) == [F(1, 4), F(3, 4)]
@@ -59,13 +55,13 @@ class TestAllOrdersRule:
             assert integrate_all_orders(constant, ComputationParams(L, M)) == 1
 
     def test_linear_midpoint_only(self):
-        assert integrate_all_orders(monomial(1), ComputationParams(2, 0)) == \
-            F(1, 2)
+        p = ComputationParams(2, 0)
+        assert integrate_all_orders(monomial_oracle(1), p) == F(1, 2)
 
     def test_quadratic_single_interval(self):
         # one midpoint at 1/2: 2*(f(1/2)/2 + f''(1/2)/48) = 2*(1/8 + 2/48)
-        assert integrate_all_orders(monomial(2), ComputationParams(1, 2)) == \
-            F(1, 3)
+        p = ComputationParams(1, 2)
+        assert integrate_all_orders(monomial_oracle(2), p) == F(1, 3)
 
 
 class TestEvenOrdersRule:
@@ -73,8 +69,8 @@ class TestEvenOrdersRule:
         assert integrate_even_orders(constant, ComputationParams(3, 0)) == 1
 
     def test_quadratic_single_interval(self):
-        assert integrate_even_orders(monomial(2), ComputationParams(1, 2)) == \
-            F(1, 3)
+        p = ComputationParams(1, 2)
+        assert integrate_even_orders(monomial_oracle(2), p) == F(1, 3)
 
     def test_kernel_cross_path(self):
         p = ComputationParams(1, 2)
@@ -87,7 +83,7 @@ class TestEvenOrdersRule:
 def test_rules_identical(L, M):
     """Odd orders contribute a zero factor, so both forms agree exactly."""
     p = ComputationParams(L, M)
-    for f in (deriv_inv_one_plus_t2, monomial(3)):
+    for f in (deriv_inv_one_plus_t2, monomial_oracle(3)):
         assert integrate_all_orders(f, p) == integrate_even_orders(f, p)
 
 
@@ -96,13 +92,13 @@ def test_rules_identical(L, M):
 def test_polynomial_exactness(L, M):
     p = ComputationParams(L, M)
     for d in range(M + 1):
-        assert integrate_even_orders(monomial(d), p) == F(1, d + 1)
+        assert integrate_even_orders(monomial_oracle(d), p) == F(1, d + 1)
 
 
 def test_exactness_stops_past_the_order_bound():
     # plain midpoint on one interval: t^2 gives 1/4, not 1/3
-    assert integrate_even_orders(monomial(2), ComputationParams(1, 0)) == \
-        F(1, 4)
+    p = ComputationParams(1, 0)
+    assert integrate_even_orders(monomial_oracle(2), p) == F(1, 4)
 
 
 @pytest.mark.parametrize("M", [0, 1])
@@ -110,14 +106,14 @@ def test_midpoint_reduction(M):
     for L in (1, 4):
         p = ComputationParams(L, M)
         plain = sum(t**3 for t in midpoint_nodes(L)) / L
-        assert integrate_even_orders(monomial(3), p) == plain
-        assert integrate_all_orders(monomial(3), p) == plain
+        assert integrate_even_orders(monomial_oracle(3), p) == plain
+        assert integrate_all_orders(monomial_oracle(3), p) == plain
 
 
 class TestIntegrationError:
     def test_exact_for_low_degree(self):
         assert integration_error(
-            monomial(2), ComputationParams(1, 2), F(1, 3)) == 0
+            monomial_oracle(2), ComputationParams(1, 2), F(1, 3)) == 0
 
     def test_constant(self):
         assert integration_error(
@@ -125,7 +121,7 @@ class TestIntegrationError:
 
     def test_cubic_odd_moments_cancel(self):
         assert integration_error(
-            monomial(3), ComputationParams(1, 2), F(1, 4)) == 0
+            monomial_oracle(3), ComputationParams(1, 2), F(1, 4)) == 0
 
     def test_nonzero_error_is_positive(self):
         err = integration_error(
