@@ -24,10 +24,11 @@ makes the parallel result identical to the serial one.
 from __future__ import annotations
 
 import multiprocessing
+import os
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import GaussianInteger
+from .exact import GaussianInteger, pairwise_sum
 from .kernels import arctan_deriv_scaled
 from .quadrature import ComputationParams, integrate_even_orders
 
@@ -70,22 +71,20 @@ def arctan_closed_form(
 
     x = 0 is special-cased to exact 0 (the node terms 2iL/x are undefined
     there, and arctan(0) = 0).  ``workers`` > 1 splits the outer sum into
-    contiguous blocks evaluated in separate processes.
+    contiguous blocks evaluated in separate processes.  The pool gets
+    min(workers, L, os.cpu_count()) processes; a count of 1 runs serially.
     """
     if x == 0:
         return Fraction(0)
     ells = range(1, p.L + 1)
-    if not workers or workers <= 1 or p.L < 2:
+    workers = min(workers or 1, p.L, os.cpu_count() or 1)
+    if workers <= 1:
         return closed_form_block(x, p, ells)
-    workers = min(workers, p.L)
     size = -(-p.L // workers)
     blocks = [ells[i : i + size] for i in range(0, p.L, size)]
     with multiprocessing.Pool(workers) as pool:
         partials = pool.map(_block_worker, [(x, p, b) for b in blocks])
-    total = Fraction(0)
-    for part in partials:
-        total += part
-    return total
+    return pairwise_sum(partials)
 
 
 def arctan_derivative_form(x: Fraction, p: ComputationParams) -> Fraction:

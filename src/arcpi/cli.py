@@ -467,18 +467,24 @@ def check_line(number: int, label: str, ok: bool, detail: str = "") -> str:
 
 
 def _run_selftest(args: argparse.Namespace) -> int:
-    failures = 0
+    checks = []
     for number, label, check in ACCEPTANCE_CHECKS:
         try:
             ok, detail = check()
         except Exception as exc:  # report every failure, keep going
             ok, detail = False, repr(exc)
-        failures += not ok
-        print(check_line(number, label, ok, detail), flush=True)
+        checks.append({"criterion": str(number), "label": label,
+                       "ok": bool(ok), "detail": detail})
+        if args.format == "text":
+            print(check_line(number, label, ok, detail), flush=True)
+    failures = sum(not c["ok"] for c in checks)
+    if args.format == "json":
+        print(json.dumps({"checks": checks, "failures": str(failures)}))
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
         return 1
-    print("all checks passed")
+    if args.format == "text":
+        print("all checks passed")
     return 0
 
 

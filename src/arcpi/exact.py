@@ -1,5 +1,5 @@
 """Exact arbitrary-precision arithmetic: rationals and Gaussian integers,
-plus decimal expansion and digit-agreement counting.
+pairwise rational summation, decimal expansion and digit-agreement counting.
 
 Rationals are python's ``fractions.Fraction``, which already keeps the
 canonical form this library relies on everywhere: positive denominator,
@@ -18,6 +18,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .errors import ComparisonError
 
@@ -37,6 +38,26 @@ def parse_rational(text: str) -> Fraction:
     num = int(m.group(1))
     den = int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
+
+
+def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum by pairwise addition: neighbours are added, then the
+    halved list again, until one value is left; ``[]`` sums to 0.
+
+    Each ``Fraction +`` reduces by a gcd whose cost grows with the operand
+    sizes.  A running total makes every addition pay for the whole sum so
+    far; the pairwise tree adds operands of similar size, so only the last
+    few additions are large.
+    """
+    level = list(values)
+    if not level:
+        return Fraction(0)
+    while len(level) > 1:
+        paired = [a + b for a, b in zip(level[0::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
 
 
 @dataclass(frozen=True, slots=True)

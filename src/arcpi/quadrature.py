@@ -14,6 +14,17 @@ Both forms are finite truncations, exact over rationals, and agree term by
 term; integrands are supplied as derivative oracles returning exact values.
 The outer l-sum may be split into contiguous blocks and summed by
 independent workers: exact addition makes the combined result identical.
+
+Accumulation order: each node's weighted terms are added into one
+``Fraction`` of their own, node by node, and the L node sums are then
+combined pairwise (``exact.pairwise_sum``).  Every ``Fraction +`` reduces
+by a gcd; against one running total that gcd grows with the whole sum on
+every one of the L * (M//2 + 1) terms.  The terms of one node share most
+of their denominator, so the per-node sums stay small and cheap to reduce,
+and the pairwise tree adds operands of similar size.  Exact addition is
+associative, so the result is the same reduced rational as a sequential
+sum; the oracle is called once per (node, order), node by node and in
+increasing order within a node.
 """
 
 from __future__ import annotations
@@ -22,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 from typing import Callable, Sequence
+
+from .exact import pairwise_sum
 
 DerivativeOracle = Callable[[int, Fraction], Fraction]
 """Maps (order, node) to the exact value of f^(order)(node)."""
@@ -64,17 +77,17 @@ def monomial_oracle(degree: int) -> DerivativeOracle:
     return f
 
 
-def _all_order_weights(p: ComputationParams) -> list[Fraction]:
+def _all_order_weights(p: ComputationParams) -> list[tuple[int, Fraction]]:
     two_l = 2 * p.L
     weights = []
     denom = 1
     for m in range(p.M + 1):
         denom *= two_l * (m + 1)  # (2L)**(m+1) * (m+1)!
-        weights.append(Fraction((-1) ** m + 1, denom))
+        weights.append((m, Fraction((-1) ** m + 1, denom)))
     return weights
 
 
-def _even_order_weights(p: ComputationParams) -> list[Fraction]:
+def _even_order_weights(p: ComputationParams) -> list[tuple[int, Fraction]]:
     two_l = 2 * p.L
     weights = []
     denom = 1
@@ -83,8 +96,28 @@ def _even_order_weights(p: ComputationParams) -> list[Fraction]:
             denom = two_l
         else:
             denom *= two_l * two_l * (2 * m - 1) * (2 * m - 2)
-        weights.append(Fraction(2, denom))  # 2 / ((2L)**(2m-1) (2m-1)!)
+        # 2 / ((2L)**(2m-1) (2m-1)!) on order 2m-2
+        weights.append((2 * m - 2, Fraction(2, denom)))
     return weights
+
+
+def _corrected_midpoint(
+    f: DerivativeOracle,
+    p: ComputationParams,
+    weights: list[tuple[int, Fraction]],
+    block: Sequence[int] | None,
+) -> Fraction:
+    """sum over l in ``block`` of sum over (order, w) of w * f(order, node_l),
+    reduced within each node, then added pairwise across nodes."""
+    ells = range(1, p.L + 1) if block is None else block
+    node_sums = []
+    for ell in ells:
+        node = Fraction(2 * ell - 1, 2 * p.L)
+        node_sum = Fraction(0)
+        for order, w in weights:
+            node_sum += w * f(order, node)
+        node_sums.append(node_sum)
+    return pairwise_sum(node_sums)
 
 
 def integrate_all_orders(
@@ -99,14 +132,7 @@ def integrate_all_orders(
     sum to the given l-indices (for partitioned evaluation); the default is
     all of 1..L.
     """
-    weights = _all_order_weights(p)
-    ells = range(1, p.L + 1) if block is None else block
-    total = Fraction(0)
-    for ell in ells:
-        node = Fraction(2 * ell - 1, 2 * p.L)
-        for m, w in enumerate(weights):
-            total += w * f(m, node)
-    return total
+    return _corrected_midpoint(f, p, _all_order_weights(p), block)
 
 
 def integrate_even_orders(
@@ -119,14 +145,7 @@ def integrate_even_orders(
     Queries f at orders 0, 2, ..., 2*floor(M/2); equal to
     ``integrate_all_orders`` on every input.
     """
-    weights = _even_order_weights(p)
-    ells = range(1, p.L + 1) if block is None else block
-    total = Fraction(0)
-    for ell in ells:
-        node = Fraction(2 * ell - 1, 2 * p.L)
-        for m, w in enumerate(weights, start=1):
-            total += w * f(2 * m - 2, node)
-    return total
+    return _corrected_midpoint(f, p, _even_order_weights(p), block)
 
 
 def integration_error(

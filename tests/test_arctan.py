@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arcpi import arctan
 from arcpi.arctan import (
     arctan_closed_form,
     arctan_derivative_form,
@@ -153,3 +154,39 @@ class TestBlocksAndWorkers:
 
     def test_workers_on_zero_argument(self):
         assert arctan_closed_form(F(0), P(6, 6), workers=4) == 0
+
+
+class _SerialPool:
+    """Stands in for multiprocessing.Pool: records the requested process
+    count and maps in this process, so no process is ever started."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        _SerialPool.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("cpus, workers, L, want", [
+    (3, 5000, 50, [3]),      # capped by the CPU count
+    (8, 5000, 5, [5]),       # capped by the node count
+    (8, 2, 50, [2]),         # the request itself
+    (1, 4, 50, []),          # one CPU: serial, no pool
+    (None, 4, 50, []),       # unknown CPU count counts as one
+])
+def test_pool_size_is_capped(monkeypatch, cpus, workers, L, want):
+    _SerialPool.sizes = []
+    monkeypatch.setattr(arctan.multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(arctan.os, "cpu_count", lambda: cpus)
+    x, p = F(1, 5), P(L, 2)
+    assert arctan_closed_form(x, p, workers=workers) == \
+        closed_form_block(x, p, range(1, L + 1))
+    assert _SerialPool.sizes == want

@@ -232,6 +232,27 @@ class TestSelftest:
         assert code == 1
         assert "FAIL criterion 4" in out
 
+    def test_json_report(self, capsys):
+        code, out, err = run_cli(capsys, "selftest", "--format", "json")
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["failures"] == "0"
+        assert [c["criterion"] for c in report["checks"]] == \
+            [str(number) for number, _, _ in cli.ACCEPTANCE_CHECKS]
+        for c in report["checks"]:
+            assert set(c) == {"criterion", "label", "ok", "detail"}
+            assert c["ok"] is True
+
+    def test_json_report_of_broken_kernel(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "deriv_inv_one_plus_t2",
+                            lambda m, t: Fraction(0))
+        code, out, _ = run_cli(capsys, "selftest", "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["failures"] == "1"
+        failed = [c["criterion"] for c in report["checks"] if not c["ok"]]
+        assert failed == ["4"]
+
     def test_broken_kernel_fails_under_optimize_flag(self):
         """The checks must not depend on ``assert``, which -O strips."""
         script = (

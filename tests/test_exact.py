@@ -10,6 +10,7 @@ from arcpi.exact import (
     GaussianInteger,
     decimal_expand,
     matching_digits,
+    pairwise_sum,
     parse_rational,
 )
 
@@ -144,3 +145,19 @@ class TestMatchingDigits:
         b = decimal_expand(F(-1, 3), 3)
         with pytest.raises(ComparisonError):
             matching_digits(a, b)
+
+
+class TestPairwiseSum:
+    def test_empty_is_zero(self):
+        assert pairwise_sum([]) == 0
+        assert isinstance(pairwise_sum([]), Fraction)
+
+    def test_single_value(self):
+        assert pairwise_sum([F(-3, 7)]) == F(-3, 7)
+
+    def test_odd_length(self):
+        values = [F(1, k) for k in range(1, 8)]
+        assert pairwise_sum(values) == sum(values) == F(363, 140)
+
+    def test_accepts_an_iterator(self):
+        assert pairwise_sum(F(1, 2 ** k) for k in range(5)) == F(31, 16)

@@ -1,10 +1,12 @@
 """Derivative-corrected midpoint rules on [0, 1]."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from arcpi.kernels import deriv_inv_one_plus_t2
+from arcpi.kernels import arctan_deriv_scaled, deriv_inv_one_plus_t2
 from arcpi.quadrature import (
     ComputationParams,
     integrate_all_orders,
@@ -139,3 +141,77 @@ def test_block_partition_invariance():
     uneven = sum(integrate_even_orders(f, p, block=[ell])
                  for ell in range(1, 6))
     assert uneven == whole
+
+
+# --- accumulation order ---------------------------------------------------
+#
+# The rules reduce within each node and add the node sums pairwise; these
+# references add every weighted term to one running total, node by node,
+# with the weights written out from the rule's formulas.
+
+def sequential_all_orders(f, p):
+    total = F(0)
+    for node in midpoint_nodes(p.L):
+        for m in range(p.M + 1):
+            w = F((-1) ** m + 1, (2 * p.L) ** (m + 1) * factorial(m + 1))
+            total += w * f(m, node)
+    return total
+
+
+def sequential_even_orders(f, p):
+    total = F(0)
+    for node in midpoint_nodes(p.L):
+        for m in range(1, p.M // 2 + 2):
+            w = F(2, (2 * p.L) ** (2 * m - 1) * factorial(2 * m - 1))
+            total += w * f(2 * m - 2, node)
+    return total
+
+
+def arctan_integrand(x):
+    """Derivative oracle of x/(1 + x**2 t**2), the t-derivative of
+    arctan(x*t)."""
+    def f(m, t):
+        return arctan_deriv_scaled(m + 1, x, t)
+    return f
+
+
+oracles = st.one_of(
+    st.integers(min_value=0, max_value=10).map(monomial_oracle),
+    st.fractions(min_value=-20, max_value=20, max_denominator=60)
+    .map(arctan_integrand),
+)
+sizes = st.integers(min_value=1, max_value=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracles, sizes, st.integers(min_value=0, max_value=8))
+def test_rules_equal_sequential_sum(f, L, M):
+    p = ComputationParams(L, M)
+    assert integrate_all_orders(f, p) == sequential_all_orders(f, p)
+    assert integrate_even_orders(f, p) == sequential_even_orders(f, p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracles, sizes, st.integers(min_value=0, max_value=8), st.data())
+def test_any_block_partition_sums_to_the_whole(f, L, M, data):
+    p = ComputationParams(L, M)
+    ells = data.draw(st.permutations(range(1, L + 1)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, L - 1))) if L > 1 else [])
+    blocks = [ells[a:b] for a, b in zip([0] + cuts, cuts + [L])]
+    for rule in (integrate_all_orders, integrate_even_orders):
+        assert sum(rule(f, p, block=b) for b in blocks) == rule(f, p)
+
+
+@pytest.mark.parametrize("rule, orders", [
+    (integrate_all_orders, [0, 1, 2, 3, 4]),
+    (integrate_even_orders, [0, 2, 4]),
+])
+def test_oracle_called_once_per_node_and_order_in_order(rule, orders):
+    calls = []
+
+    def f(m, t):
+        calls.append((t, m))
+        return deriv_inv_one_plus_t2(m, t)
+
+    rule(f, ComputationParams(3, 4))
+    assert calls == [(t, m) for t in midpoint_nodes(3) for m in orders]
