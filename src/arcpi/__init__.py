@@ -10,19 +10,16 @@ from .errors import (
 )
 from .exact import (
     DecimalExpansion,
-    GaussianInteger,
     decimal_expand,
     matching_digits,
     parse_rational,
 )
 from .kernels import (
-    RationalFunction,
     arctan_deriv,
     arctan_deriv_scaled,
     arctan_deriv_sine_form,
     deriv_inv_one_minus_u2,
     deriv_inv_one_plus_t2,
-    oracle_derivative,
 )
 from .quadrature import (
     ComputationParams,
@@ -55,12 +52,10 @@ __all__ = [
     "DerivativeOracle",
     "DomainError",
     "GAUSS_TERMS",
-    "GaussianInteger",
     "METHODS",
     "OrderError",
     "PiResult",
     "PoleError",
-    "RationalFunction",
     "ReferenceIntegrityError",
     "arctan_closed_form",
     "arctan_deriv",
@@ -78,7 +73,6 @@ __all__ = [
     "matching_digits",
     "measure",
     "midpoint_nodes",
-    "oracle_derivative",
     "parse_rational",
     "pi_closed_form",
     "pi_derivative_form",

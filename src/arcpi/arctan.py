@@ -19,44 +19,76 @@ The two routes agree exactly, rational to rational, for every x, L, M;
 that equality is the library's central invariant.  The outer l-sum of the
 closed form can be partitioned across worker processes; exact addition
 makes the parallel result identical to the serial one.
+
+Accumulation in the closed form runs in plain ints and reduces once.  With
+K = floor(M/2) + 1 inner terms, each node's sum is put over the common
+denominator lcm(1, 3, ..., 2K-1) * norm**(2K-1) and its numerator built by
+Horner's rule in norm**2.  The node (numerator, norm**(2K-1)) pairs are
+added by a pairwise tree without any gcd, and a single ``Fraction`` is
+formed at the end of the block.  A ``Fraction +`` per term would instead
+run one gcd per term against an ever larger running total.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import GaussianInteger, pairwise_sum
+from .exact import gaussian_pow, pairwise_sum
 from .kernels import arctan_deriv_scaled
 from .quadrature import ComputationParams, integrate_even_orders
+
+
+def _pair_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions n/d given as (n, d) int pairs, added pairwise
+    and left unreduced; ``[]`` sums to (0, 1)."""
+    if not pairs:
+        return 0, 1
+    while len(pairs) > 1:
+        paired = [(n1 * d2 + n2 * d1, d1 * d2)
+                  for (n1, d1), (n2, d2) in zip(pairs[0::2], pairs[1::2])]
+        if len(pairs) % 2:
+            paired.append(pairs[-1])
+        pairs = paired
+    return pairs[0]
 
 
 def closed_form_block(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
 ) -> Fraction:
-    """Partial closed-form sum over the given outer indices."""
+    """Partial closed-form sum over the given outer indices.
+
+    The sum over l in ``ells`` and m = 1..K of
+    2 num**(2m-1) Im(w**(2m-1)) / ((2m-1) norm**(2m-1)), with x = num/den,
+    w = num*(2l-1) + 2iL*den and norm = |w|**2, evaluated in ints over
+    one common denominator per node and reduced once (module docstring).
+    """
     if x == 0:
         return Fraction(0)
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
-    mmax = p.inner_terms
-    total = Fraction(0)
+    k = p.inner_terms
+    odd_lcm = math.lcm(*range(1, 2 * k, 2))
+    num2 = num * num
+    node_sums = []
     for ell in ells:
-        w = GaussianInteger(num * (2 * ell - 1), two_l_den)
-        w2 = w * w
-        norm = w.norm()
-        wp = w          # w**(2m-1)
-        norm_pow = norm  # norm**(2m-1)
-        num_pow = num    # num**(2m-1), carries the sign of x
-        for m in range(1, mmax + 1):
+        re, im = num * (2 * ell - 1), two_l_den  # w**(2m-1)
+        w2_re, w2_im = gaussian_pow(re, im, 2)
+        norm = re * re + im * im
+        norm2 = norm * norm
+        num_pow = num  # num**(2m-1), carries the sign of x
+        acc = 0
+        for m in range(1, k + 1):
             if m > 1:
-                wp = wp * w2
-                norm_pow *= norm * norm
-                num_pow *= num * num
-            total += Fraction(2 * num_pow * wp.im, (2 * m - 1) * norm_pow)
-    return total
+                re, im = re * w2_re - im * w2_im, re * w2_im + im * w2_re
+                num_pow *= num2
+            acc = acc * norm2 + odd_lcm // (2 * m - 1) * num_pow * im
+        node_sums.append((acc, norm ** (2 * k - 1)))
+    total, denom = _pair_sum(node_sums)
+    return Fraction(2 * total, odd_lcm * denom)
 
 
 def _block_worker(args: tuple[Fraction, ComputationParams, range]) -> Fraction:

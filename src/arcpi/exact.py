@@ -1,13 +1,14 @@
-"""Exact arbitrary-precision arithmetic: rationals and Gaussian integers,
-pairwise rational summation, decimal expansion and digit-agreement counting.
+"""Exact arbitrary-precision arithmetic: rationals and Gaussian-integer
+powers, pairwise rational summation, decimal expansion and digit-agreement
+counting.
 
 Rationals are python's ``fractions.Fraction``, which already keeps the
 canonical form this library relies on everywhere: positive denominator,
-coprime numerator/denominator, zero stored as 0/1.  ``GaussianInteger`` is
-a small immutable wrapper over two plain ints; every complex power the
-library needs is a nonnegative power of one, so all the heavy lifting
-stays in integer arithmetic and a single big denominator appears only
-when the result is turned into a ``Fraction``.
+coprime numerator/denominator, zero stored as 0/1.  A Gaussian integer is
+a plain ``(re, im)`` pair of ints; every complex power the library needs
+is a nonnegative power of one, so all the heavy lifting stays in integer
+arithmetic and a single big denominator appears only when the result is
+turned into a ``Fraction``.
 
 Every value here is immutable and every operation is a pure function, so
 values can be shipped freely between worker processes.
@@ -60,49 +61,22 @@ def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
     return level[0]
 
 
-@dataclass(frozen=True, slots=True)
-class GaussianInteger:
-    """Complex number with arbitrary-precision integer components."""
+def gaussian_pow(re: int, im: int, k: int) -> tuple[int, int]:
+    """(re + i*im)**k as a pair of ints, for k >= 0, by repeated squaring.
 
-    re: int
-    im: int
-
-    def __add__(self, other: GaussianInteger) -> GaussianInteger:
-        return GaussianInteger(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: GaussianInteger) -> GaussianInteger:
-        return GaussianInteger(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other: GaussianInteger) -> GaussianInteger:
-        return GaussianInteger(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self) -> GaussianInteger:
-        return GaussianInteger(-self.re, -self.im)
-
-    def conjugate(self) -> GaussianInteger:
-        return GaussianInteger(self.re, -self.im)
-
-    def norm(self) -> int:
-        """re**2 + im**2; zero only for the zero element."""
-        return self.re * self.re + self.im * self.im
-
-    def __pow__(self, k: int) -> GaussianInteger:
-        if k < 0:
-            raise ValueError("GaussianInteger powers need k >= 0")
-        result = GaussianInteger(1, 0)  # 0**0 == 1 by convention
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def __str__(self) -> str:
-        return f"{self.re}{self.im:+d}i"
+    0**0 is 1, as for python ints.
+    """
+    if k < 0:
+        raise ValueError("Gaussian-integer powers need k >= 0")
+    out_re, out_im = 1, 0
+    while k:
+        if k & 1:
+            out_re, out_im = (out_re * re - out_im * im,
+                              out_re * im + out_im * re)
+        k >>= 1
+        if k:
+            re, im = re * re - im * im, 2 * re * im
+    return out_re, out_im
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,6 +1,6 @@
 """Closed-form derivative evaluators for the two rational kernels
-1/(1 - u**2) and 1/(1 + t**2), and for arctan, plus an independent
-quotient-rule differentiation oracle used to validate them.
+1/(1 - u**2) and 1/(1 + t**2), and for arctan.  The independent
+quotient-rule oracle they are validated against is ``arcpi.oracle``.
 
 Partial fractions give both closed forms.  Writing
 
@@ -27,13 +27,11 @@ one Fraction is formed at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence
 
 from .errors import OrderError, PoleError
-from .exact import GaussianInteger
+from .exact import gaussian_pow
 
 
 def deriv_inv_one_minus_u2(m: int, u: Fraction) -> Fraction:
@@ -71,8 +69,8 @@ def arctan_deriv(m: int, t: Fraction) -> Fraction:
     if m < 1:
         raise OrderError("arctan derivatives need order >= 1")
     p, q = t.numerator, t.denominator
-    w = GaussianInteger(p, q) ** m
-    return Fraction((-1) ** (m + 1) * factorial(m - 1) * q**m * w.im,
+    _, im = gaussian_pow(p, q, m)
+    return Fraction((-1) ** (m + 1) * factorial(m - 1) * q**m * im,
                     (p * p + q * q) ** m)
 
 
@@ -104,112 +102,3 @@ def arctan_deriv_sine_form(m: int, t: float) -> float:
         / hypot2 ** (m / 2)
         * math.sin(m * math.asin(1.0 / math.sqrt(hypot2)))
     )
-
-
-# --- quotient-rule oracle -------------------------------------------------
-#
-# Rational functions are kept as num / base**power with dense coefficient
-# tuples (lowest degree first).  Differentiating num/base**k gives
-# (num'*base - k*num*base') / base**(k+1), so degrees grow linearly with
-# the order instead of doubling.
-
-Poly = tuple[Fraction, ...]
-
-
-def _poly(coeffs: Sequence[Fraction | int]) -> Poly:
-    c = tuple(Fraction(x) for x in coeffs)
-    while c and not c[-1]:
-        c = c[:-1]
-    return c
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly(out)
-
-
-def _poly_sub(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, ai in enumerate(a):
-        out[i] += ai
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _poly(out)
-
-
-def _poly_deriv(a: Poly) -> Poly:
-    return _poly([i * ai for i, ai in enumerate(a)][1:])
-
-
-def _poly_scale(a: Poly, s: Fraction) -> Poly:
-    return _poly([ai * s for ai in a])
-
-
-def poly_eval(a: Poly, t: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for ai in reversed(a):
-        acc = acc * t + ai
-    return acc
-
-
-@dataclass(frozen=True)
-class RationalFunction:
-    """num / base**power with exact polynomial coefficients."""
-
-    num: Poly
-    base: Poly
-    power: int = 1
-
-    @classmethod
-    def from_pair(
-        cls,
-        numerator: Sequence[Fraction | int],
-        denominator: Sequence[Fraction | int],
-    ) -> RationalFunction:
-        den = _poly(denominator)
-        if not den:
-            raise ZeroDivisionError("denominator is the zero polynomial")
-        return cls(_poly(numerator), den, 1)
-
-    @classmethod
-    def one_over_one_plus_square(cls) -> RationalFunction:
-        """1 / (1 + t**2)"""
-        return cls.from_pair([1], [1, 0, 1])
-
-    @classmethod
-    def one_over_one_minus_square(cls) -> RationalFunction:
-        """1 / (1 - u**2)"""
-        return cls.from_pair([1], [1, 0, -1])
-
-    def derivative(self) -> RationalFunction:
-        new_num = _poly_sub(
-            _poly_mul(_poly_deriv(self.num), self.base),
-            _poly_scale(_poly_mul(self.num, _poly_deriv(self.base)),
-                        Fraction(self.power)),
-        )
-        return RationalFunction(new_num, self.base, self.power + 1)
-
-    def evaluate(self, t: Fraction) -> Fraction:
-        b = poly_eval(self.base, t)
-        if not b:
-            raise PoleError(f"denominator vanishes at {t}")
-        return poly_eval(self.num, t) / b**self.power
-
-
-def oracle_derivative(m: int, f: RationalFunction, t: Fraction) -> Fraction:
-    """m-th derivative of f at t by repeated quotient rule.
-
-    Knows nothing about closed forms; this is the independent check the
-    kernel evaluators are validated against.
-    """
-    if m < 0:
-        raise OrderError("derivative order must be >= 0")
-    for _ in range(m):
-        f = f.derivative()
-    return f.evaluate(t)

@@ -26,7 +26,12 @@ from importlib import resources
 
 from .arctan import arctan_closed_form
 from .errors import DomainError, ReferenceIntegrityError
-from .exact import DecimalExpansion, decimal_expand, matching_digits
+from .exact import (
+    DecimalExpansion,
+    decimal_expand,
+    matching_digits,
+    pairwise_sum,
+)
 from .kernels import deriv_inv_one_plus_t2
 from .quadrature import ComputationParams, integrate_even_orders
 
@@ -79,12 +84,14 @@ def pi_derivative_form(p: ComputationParams) -> Fraction:
 
 
 def pi_gauss(p: ComputationParams, workers: int | None = None) -> Fraction:
-    """Nine-term Gauss arctangent combination at shared (L, M)."""
-    total = Fraction(0)
-    for mult, recip in GAUSS_TERMS:
-        total += mult * arctan_closed_form(
-            Fraction(1, recip), p, workers=workers)
-    return 4 * total
+    """Nine-term Gauss arctangent combination at shared (L, M).
+
+    The nine weighted terms are added pairwise, so only the last additions
+    reduce operands as large as the result.
+    """
+    return 4 * pairwise_sum(
+        mult * arctan_closed_form(Fraction(1, recip), p, workers=workers)
+        for mult, recip in GAUSS_TERMS)
 
 
 def arctan_taylor_reference(x: Fraction, n_digits: int) -> Fraction:
@@ -137,6 +144,12 @@ def pi_machin(n_digits: int) -> Fraction:
     return _machin_with_bound(n_digits)[0]
 
 
+def _check_reference_digits(n_digits: int) -> None:
+    if not 1 <= n_digits <= REFERENCE_DIGITS:
+        raise DomainError(
+            f"reference expansion limited to 1..{REFERENCE_DIGITS} digits")
+
+
 @lru_cache(maxsize=None)
 def reference_pi(n_digits: int) -> DecimalExpansion:
     """Verified reference expansion of pi to n_digits fraction digits.
@@ -146,9 +159,7 @@ def reference_pi(n_digits: int) -> DecimalExpansion:
     itself is certain), then checked digit for digit against the embedded
     published constant.  Any disagreement is fatal.
     """
-    if not 1 <= n_digits <= REFERENCE_DIGITS:
-        raise DomainError(
-            f"reference expansion limited to 1..{REFERENCE_DIGITS} digits")
+    _check_reference_digits(n_digits)
     guard = 5
     scale = 10**n_digits
     while True:
@@ -172,7 +183,12 @@ def measure(
     n_digits: int,
     workers: int | None = None,
 ) -> PiResult:
-    """Run one method, count digits agreeing with the reference, and time it."""
+    """Run one method, count digits agreeing with the reference, and time it.
+
+    ``n_digits`` outside 1..REFERENCE_DIGITS raises DomainError before any
+    computation starts, since no result could be graded.
+    """
+    _check_reference_digits(n_digits)
     start = time.perf_counter()
     if method == "eq17":
         approx = pi_closed_form(p, workers=workers)

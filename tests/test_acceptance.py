@@ -2,8 +2,8 @@
 
 Each test prints PASS/FAIL through the capture bypass so the verdict is
 visible in any pytest run, then asserts.  Criteria 3-7 and 9 run the
-entries of ``cli.ACCEPTANCE_CHECKS``, the same table ``arcpi selftest``
-runs.  Expensive intermediate results are cached at module level;
+entries of ``acceptance.ACCEPTANCE_CHECKS``, the same table ``arcpi
+selftest`` runs.  Expensive intermediate results are cached at module level;
 everything here is deterministic exact arithmetic except wall-clock
 fields, which are never asserted on.
 """
@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import pytest
 
-from arcpi import cli
+from arcpi import acceptance, cli
 from arcpi.pi import measure
 from arcpi.quadrature import ComputationParams
 
@@ -26,11 +26,11 @@ GAUSS_AT_46 = 274
 
 
 CHECKS = {number: (label, check)
-          for number, label, check in cli.ACCEPTANCE_CHECKS}
+          for number, label, check in acceptance.ACCEPTANCE_CHECKS}
 
 
 def _report(capsys, number: int, label: str, ok: bool, detail: str = ""):
-    line = cli.check_line(number, label, ok, detail)
+    line = acceptance.check_line(number, label, ok, detail)
     with capsys.disabled():
         print(line, flush=True)
     assert ok, line

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcpi import arctan
 from arcpi.arctan import (
@@ -52,6 +52,30 @@ def arctan_complex_bracket(x: F, p: P) -> F:
             total_im += (a[1] - b[1]) / k
     assert total_re == 0  # i * total must be real
     return -total_im
+
+
+def closed_form_block_reference(x: F, p: P, ells) -> F:
+    """The closed-form block summed term by term into one ``Fraction``.
+
+    The per-term loop the production block replaced: every term
+    2 num**(2m-1) Im(w**(2m-1)) / ((2m-1) norm**(2m-1)) is added to a
+    running total, so each addition reduces by a gcd.
+    """
+    if x == 0:
+        return F(0)
+    num, den = x.numerator, x.denominator
+    two_l_den = 2 * p.L * den
+    total = F(0)
+    for ell in ells:
+        re, im = num * (2 * ell - 1), two_l_den
+        w2_re, w2_im = re * re - im * im, 2 * re * im
+        norm = re * re + im * im
+        for m in range(1, p.inner_terms + 1):
+            if m > 1:
+                re, im = re * w2_re - im * w2_im, re * w2_im + im * w2_re
+            total += F(2 * num ** (2 * m - 1) * im,
+                       (2 * m - 1) * norm ** (2 * m - 1))
+    return total
 
 
 class TestClosedForm:
@@ -154,6 +178,52 @@ class TestBlocksAndWorkers:
 
     def test_workers_on_zero_argument(self):
         assert arctan_closed_form(F(0), P(6, 6), workers=4) == 0
+
+
+signed_rationals = st.fractions(
+    min_value=-50, max_value=50, max_denominator=60)
+
+
+@st.composite
+def block_cases(draw):
+    """x, (L, M) and a random subset of 1..L, in random order."""
+    x = draw(signed_rationals)
+    L = draw(st.integers(min_value=1, max_value=9))
+    M = draw(st.integers(min_value=0, max_value=10))
+    ells = draw(st.lists(st.integers(min_value=1, max_value=L),
+                         unique=True, max_size=L))
+    return x, P(L, M), ells
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_cases())
+@example((F(3, 7), P(1, 4), [1]))
+@example((F(-5, 2), P(6, 0), [2, 5, 1]))
+@example((F(1, 3), P(1, 0), [1]))
+@example((F(2), P(4, 3), []))
+def test_block_equals_term_by_term_sum(case):
+    x, p, ells = case
+    assert closed_form_block(x, p, ells) == \
+        closed_form_block_reference(x, p, ells)
+
+
+@settings(max_examples=40, deadline=None)
+@given(signed_rationals, st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=10), st.data())
+@example(F(1, 5), 1, 3, None)
+@example(F(-7, 3), 5, 0, None)
+def test_block_partition_sums_to_the_whole(x, L, M, data):
+    """Any partition of 1..L into blocks sums to the whole-range block."""
+    p = P(L, M)
+    if data is None:
+        labels = [ell % 2 for ell in range(1, L + 1)]
+    else:
+        labels = data.draw(st.lists(st.integers(min_value=0, max_value=3),
+                                    min_size=L, max_size=L))
+    blocks = [[ell for ell, b in zip(range(1, L + 1), labels) if b == label]
+              for label in set(labels)]
+    assert sum(closed_form_block(x, p, b) for b in blocks) == \
+        closed_form_block(x, p, range(1, L + 1))
 
 
 class _SerialPool:

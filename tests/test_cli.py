@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcpi import cli
+from arcpi import acceptance, cli
 from arcpi.errors import ReferenceIntegrityError
 
 
@@ -226,7 +226,7 @@ class TestSelftest:
         assert "FAIL" not in out
 
     def test_broken_kernel_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "deriv_inv_one_plus_t2",
+        monkeypatch.setattr(acceptance, "deriv_inv_one_plus_t2",
                             lambda m, t: Fraction(0))
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
@@ -238,13 +238,13 @@ class TestSelftest:
         report = json.loads(out)
         assert report["failures"] == "0"
         assert [c["criterion"] for c in report["checks"]] == \
-            [str(number) for number, _, _ in cli.ACCEPTANCE_CHECKS]
+            [str(number) for number, _, _ in acceptance.ACCEPTANCE_CHECKS]
         for c in report["checks"]:
             assert set(c) == {"criterion", "label", "ok", "detail"}
             assert c["ok"] is True
 
     def test_json_report_of_broken_kernel(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "deriv_inv_one_plus_t2",
+        monkeypatch.setattr(acceptance, "deriv_inv_one_plus_t2",
                             lambda m, t: Fraction(0))
         code, out, _ = run_cli(capsys, "selftest", "--format", "json")
         assert code == 1
@@ -257,8 +257,8 @@ class TestSelftest:
         """The checks must not depend on ``assert``, which -O strips."""
         script = (
             "from fractions import Fraction\n"
-            "from arcpi import cli\n"
-            "cli.deriv_inv_one_plus_t2 = lambda m, t: Fraction(0)\n"
+            "from arcpi import acceptance, cli\n"
+            "acceptance.deriv_inv_one_plus_t2 = lambda m, t: Fraction(0)\n"
             "raise SystemExit(cli.main(['selftest']))\n")
         out = subprocess.run([sys.executable, "-O", "-c", script],
                              capture_output=True, text=True, timeout=120)
@@ -302,3 +302,31 @@ def test_console_script_entry_point():
         capture_output=True, text=True, timeout=60)
     assert out.returncode == 0
     assert "3.20000" in out.stdout
+
+
+class TestImportPath:
+    """Validation code stays off the path that ``import arcpi.cli`` loads;
+    the commands that need it import it when they run."""
+
+    def test_cli_import_leaves_validation_modules_unloaded(self):
+        script = (
+            "import sys\n"
+            "import arcpi.cli\n"
+            "print(sorted(m for m in ('arcpi.acceptance', 'arcpi.oracle')\n"
+            "             if m in sys.modules))\n")
+        out = subprocess.run([sys.executable, "-c", script],
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["selftest"],
+        ["deriv", "-m", "6", "--t", "1/3", "--formula", "oracle",
+         "--compare", "eq7"],
+        ["bench", "--suite", "deriv-paths", "--sizes", "3"],
+    ])
+    def test_validation_commands_run(self, argv):
+        out = subprocess.run([sys.executable, "-m", "arcpi.cli", *argv],
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stdout + out.stderr
+

@@ -1,4 +1,4 @@
-"""Rational and Gaussian arithmetic groundwork."""
+"""Rational and Gaussian-integer arithmetic groundwork."""
 
 from fractions import Fraction
 
@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from arcpi.exact import (
     ComparisonError,
-    GaussianInteger,
     decimal_expand,
+    gaussian_pow,
     matching_digits,
     pairwise_sum,
     parse_rational,
@@ -43,42 +43,51 @@ rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=999)
 
 
-class TestGaussianInteger:
+class TestGaussianPow:
     def test_square(self):
-        assert GaussianInteger(1, 2) ** 2 == GaussianInteger(-3, 4)
+        assert gaussian_pow(1, 2, 2) == (-3, 4)
 
     def test_zeroth_power_is_one(self):
-        assert GaussianInteger(3, 2) ** 0 == GaussianInteger(1, 0)
-        assert GaussianInteger(0, 0) ** 0 == GaussianInteger(1, 0)
+        assert gaussian_pow(3, 2, 0) == (1, 0)
+        assert gaussian_pow(0, 0, 0) == (1, 0)
 
     def test_cube(self):
         # (3+2i)^2 = 5+12i, then (5+12i)(3+2i) = -9+46i
-        assert GaussianInteger(3, 2) ** 3 == GaussianInteger(-9, 46)
+        assert gaussian_pow(3, 2, 3) == (-9, 46)
 
-    def test_norm_and_conjugate(self):
-        z = GaussianInteger(1, 2)
-        assert z.norm() == 5
-        assert z.conjugate() == GaussianInteger(1, -2)
+    def test_zero_base(self):
+        for k in range(1, 6):
+            assert gaussian_pow(0, 0, k) == (0, 0)
 
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError):
-            GaussianInteger(1, 1) ** -1
-
-    def test_ring_ops(self):
-        a, b = GaussianInteger(2, -1), GaussianInteger(-3, 4)
-        assert a + b == GaussianInteger(-1, 3)
-        assert a - b == GaussianInteger(5, -5)
-        assert -a == GaussianInteger(-2, 1)
-        assert a * b == GaussianInteger(-2, 11)
+            gaussian_pow(1, 1, -1)
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
+exponents = st.integers(min_value=0, max_value=9)
+
+
+@given(small_ints, small_ints, exponents)
+def test_gaussian_pow_matches_repeated_multiplication(re, im, k):
+    want_re, want_im = 1, 0
+    for _ in range(k):
+        want_re, want_im = (want_re * re - want_im * im,
+                            want_re * im + want_im * re)
+    assert gaussian_pow(re, im, k) == (want_re, want_im)
 
 
 @given(small_ints, small_ints, st.integers(min_value=0, max_value=6))
-def test_conjugate_commutes_with_power(re, im, k):
-    z = GaussianInteger(re, im)
-    assert z.conjugate() ** k == (z**k).conjugate()
+def test_gaussian_pow_matches_python_complex(re, im, k):
+    """|re + i*im|**6 < 2**53 here, so the complex power is exact."""
+    z = complex(re, im) ** k
+    assert gaussian_pow(re, im, k) == (z.real, z.imag)
+
+
+@given(small_ints, small_ints, exponents)
+def test_conjugate_commutes_with_gaussian_pow(re, im, k):
+    power_re, power_im = gaussian_pow(re, im, k)
+    assert gaussian_pow(re, -im, k) == (power_re, -power_im)
 
 
 class TestDecimalExpand:

@@ -7,14 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from arcpi.errors import OrderError, PoleError
 from arcpi.kernels import (
-    RationalFunction,
     arctan_deriv,
     arctan_deriv_scaled,
     arctan_deriv_sine_form,
     deriv_inv_one_minus_u2,
     deriv_inv_one_plus_t2,
-    oracle_derivative,
 )
+from arcpi.oracle import RationalFunction, oracle_derivative
 
 F = Fraction
 

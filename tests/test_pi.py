@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from arcpi import pi
 from arcpi.errors import DomainError
 from arcpi.exact import decimal_expand, matching_digits
 from arcpi.pi import (
@@ -166,3 +167,24 @@ class TestMeasure:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             measure("simpson", P(1, 1), 10)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", [0, -3, 1001])
+    def test_ungradable_digits_rejected_before_computing(
+            self, monkeypatch, method, n):
+        calls = []
+
+        def recorder(name):
+            def evaluator(*args, **kwargs):
+                calls.append(name)
+                return F(3)
+            return evaluator
+
+        for name in ("pi_closed_form", "pi_derivative_form", "pi_gauss",
+                     "pi_machin"):
+            monkeypatch.setattr(pi, name, recorder(name))
+        with pytest.raises(DomainError):
+            measure(method, P(46, 46), n)
+        assert calls == []
+        measure(method, P(46, 46), 10)  # the stubs do record a valid run
+        assert len(calls) == 1
