@@ -20,13 +20,15 @@ that equality is the library's central invariant.  The outer l-sum of the
 closed form can be partitioned across worker processes; exact addition
 makes the parallel result identical to the serial one.
 
-Accumulation in the closed form runs in plain ints and reduces once.  With
+Accumulation in the closed form runs in plain ints.  With
 K = floor(M/2) + 1 inner terms, each node's sum is put over the common
 denominator lcm(1, 3, ..., 2K-1) * norm**(2K-1) and its numerator built by
 Horner's rule in norm**2.  The node (numerator, norm**(2K-1)) pairs are
-added by a pairwise tree without any gcd, and a single ``Fraction`` is
-formed at the end of the block.  A ``Fraction +`` per term would instead
-run one gcd per term against an ever larger running total.
+added by a pairwise tree without any gcd (``exact.pair_sum``), and
+``closed_form_pair`` returns the sum unreduced.  A ``Fraction +`` per term
+would instead run one gcd per term against an ever larger running total.
+``closed_form_block`` and ``arctan_closed_form`` reduce once per call;
+``arcpi pi`` grades digits from the unreduced pairs and never reduces.
 """
 
 from __future__ import annotations
@@ -35,39 +37,28 @@ import math
 import multiprocessing
 import os
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
-from .exact import gaussian_pow, pairwise_sum
+from .exact import gaussian_pow, pair_sum
 from .kernels import arctan_deriv_scaled
 from .quadrature import ComputationParams, integrate_even_orders
 
-
-def _pair_sum(pairs: list[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of the fractions n/d given as (n, d) int pairs, added pairwise
-    and left unreduced; ``[]`` sums to (0, 1)."""
-    if not pairs:
-        return 0, 1
-    while len(pairs) > 1:
-        paired = [(n1 * d2 + n2 * d1, d1 * d2)
-                  for (n1, d1), (n2, d2) in zip(pairs[0::2], pairs[1::2])]
-        if len(pairs) % 2:
-            paired.append(pairs[-1])
-        pairs = paired
-    return pairs[0]
+R = TypeVar("R")
 
 
-def closed_form_block(
+def closed_form_pair(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
-) -> Fraction:
-    """Partial closed-form sum over the given outer indices.
+) -> tuple[int, int]:
+    """Partial closed-form sum over the given outer indices, as an
+    unreduced ``(numerator, denominator)`` pair with a positive denominator.
 
     The sum over l in ``ells`` and m = 1..K of
     2 num**(2m-1) Im(w**(2m-1)) / ((2m-1) norm**(2m-1)), with x = num/den,
     w = num*(2l-1) + 2iL*den and norm = |w|**2, evaluated in ints over
-    one common denominator per node and reduced once (module docstring).
+    one common denominator per node (module docstring).  No gcd is taken.
     """
     if x == 0:
-        return Fraction(0)
+        return 0, 1
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
     k = p.inner_terms
@@ -87,13 +78,27 @@ def closed_form_block(
                 num_pow *= num2
             acc = acc * norm2 + odd_lcm // (2 * m - 1) * num_pow * im
         node_sums.append((acc, norm ** (2 * k - 1)))
-    total, denom = _pair_sum(node_sums)
-    return Fraction(2 * total, odd_lcm * denom)
+    total, denom = pair_sum(node_sums)
+    return 2 * total, odd_lcm * denom
 
 
-def _block_worker(args: tuple[Fraction, ComputationParams, range]) -> Fraction:
-    x, p, ells = args
-    return closed_form_block(x, p, ells)
+def closed_form_block(
+    x: Fraction, p: ComputationParams, ells: Sequence[int]
+) -> Fraction:
+    """``closed_form_pair`` as a ``Fraction``: one reduction per block."""
+    return Fraction(*closed_form_pair(x, p, ells))
+
+
+def pool_starmap(fn: Callable[..., R], tasks: Sequence[tuple],
+                 workers: int | None) -> list[R]:
+    """``[fn(*t) for t in tasks]``, computed by one process pool of
+    min(workers, len(tasks), os.cpu_count()) processes; a count of 1 runs
+    serially and opens no pool.  ``fn`` must be picklable."""
+    processes = min(workers or 1, len(tasks), os.cpu_count() or 1)
+    if processes <= 1:
+        return [fn(*t) for t in tasks]
+    with multiprocessing.Pool(processes) as pool:
+        return pool.starmap(fn, tasks)
 
 
 def arctan_closed_form(
@@ -103,8 +108,8 @@ def arctan_closed_form(
 
     x = 0 is special-cased to exact 0 (the node terms 2iL/x are undefined
     there, and arctan(0) = 0).  ``workers`` > 1 splits the outer sum into
-    contiguous blocks evaluated in separate processes.  The pool gets
-    min(workers, L, os.cpu_count()) processes; a count of 1 runs serially.
+    contiguous blocks evaluated by ``pool_starmap``; the blocks come back as
+    unreduced pairs and the whole sum is reduced once.
     """
     if x == 0:
         return Fraction(0)
@@ -114,9 +119,9 @@ def arctan_closed_form(
         return closed_form_block(x, p, ells)
     size = -(-p.L // workers)
     blocks = [ells[i : i + size] for i in range(0, p.L, size)]
-    with multiprocessing.Pool(workers) as pool:
-        partials = pool.map(_block_worker, [(x, p, b) for b in blocks])
-    return pairwise_sum(partials)
+    partials = pool_starmap(
+        closed_form_pair, [(x, p, b) for b in blocks], workers)
+    return Fraction(*pair_sum(partials))
 
 
 def arctan_derivative_form(x: Fraction, p: ComputationParams) -> Fraction:

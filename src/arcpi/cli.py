@@ -42,7 +42,7 @@ from .errors import (
     PoleError,
     ReferenceIntegrityError,
 )
-from .exact import decimal_expand, matching_digits, parse_rational
+from .exact import decimal_expand, exact_str, matching_digits, parse_rational
 from .kernels import (
     arctan_deriv,
     arctan_deriv_sine_form,
@@ -123,7 +123,7 @@ def _sizes(text: str) -> tuple[int, ...]:
 def _run_pi(args: argparse.Namespace) -> int:
     params = ComputationParams(args.L, args.M)
     result = measure(args.method, params, args.digits, workers=args.workers)
-    expansion = decimal_expand(result.approx, args.digits)
+    expansion = result.expansion
     _emit(args, {
         "method": result.method,
         "L": str(args.L),
@@ -158,7 +158,7 @@ def _run_arctan(args: argparse.Namespace) -> int:
     if value == 0:
         shown = "0"
     elif args.exact:
-        shown = str(value)
+        shown = exact_str(value)
     else:
         shown = str(decimal_expand(value, args.digits))
 
@@ -170,7 +170,7 @@ def _run_arctan(args: argparse.Namespace) -> int:
         "L": str(args.L),
         "M": str(args.M),
         "digits_requested": str(args.digits),
-        "exact": str(value) if args.exact else None,
+        "exact": exact_str(value) if args.exact else None,
         "approx_decimal": str(decimal_expand(value, args.digits))
         if value else "0",
         "matched_digits": None if matched is None else str(matched),
@@ -180,6 +180,10 @@ def _run_arctan(args: argparse.Namespace) -> int:
 
 
 # --- deriv ----------------------------------------------------------------
+
+def _shown(value: Fraction | float) -> str:
+    return exact_str(value) if isinstance(value, Fraction) else str(value)
+
 
 def _deriv_value(formula: str, m: int, t: Fraction) -> Fraction | float:
     if formula == "eq7":
@@ -200,18 +204,18 @@ def _run_deriv(args: argparse.Namespace) -> int:
         "m": str(args.m),
         "t": str(args.t),
         "formula": args.formula,
-        "value": str(value),
+        "value": _shown(value),
     }
-    lines = [str(value)]
+    lines = [_shown(value)]
     if args.compare:
         other = _deriv_value(args.compare, args.m, args.t)
         if isinstance(value, Fraction) and isinstance(other, Fraction):
-            deviation: object = value - other
+            deviation: Fraction | float = value - other
         else:
             deviation = abs(float(value) - float(other))
         record["compare"] = args.compare
-        record["deviation"] = str(deviation)
-        lines.append(f"deviation vs {args.compare}: {deviation}")
+        record["deviation"] = _shown(deviation)
+        lines.append(f"deviation vs {args.compare}: {_shown(deviation)}")
     _emit(args, record, lines)
     return 0
 
@@ -230,7 +234,8 @@ def _run_quad(args: argparse.Namespace) -> int:
         truth = Fraction(1, args.degree + 1)
     rule = integrate_all_orders if args.rule == "eq9" else integrate_even_orders
     value = rule(f, params)
-    shown = str(value) if args.exact else str(decimal_expand(value, args.digits))
+    shown = exact_str(value) if args.exact \
+        else str(decimal_expand(value, args.digits))
     lines = [f"rule={args.rule} integrand={label} L={args.L} M={args.M}",
              shown]
     record: dict[str, object] = {
@@ -238,15 +243,14 @@ def _run_quad(args: argparse.Namespace) -> int:
         "integrand": label,
         "L": str(args.L),
         "M": str(args.M),
-        "value": str(value) if args.exact
-        else str(decimal_expand(value, args.digits)),
+        "value": shown,
     }
     if truth is not None:
         error = integration_error(f, params, truth)
-        record["exact_integral"] = str(truth)
-        record["abs_error"] = str(error)
-        lines.append(f"exact integral: {truth}")
-        lines.append(f"abs error: {error}")
+        record["exact_integral"] = exact_str(truth)
+        record["abs_error"] = exact_str(error)
+        lines.append(f"exact integral: {exact_str(truth)}")
+        lines.append(f"abs error: {exact_str(error)}")
     _emit(args, record, lines)
     return 0
 
@@ -285,7 +289,8 @@ def _bench_deriv_paths(args: argparse.Namespace) -> list[dict[str, str]]:
     """Closed-form kernel derivatives vs the quotient-rule oracle.
 
     Both paths produce every g(l, m) = (d/dt)^m 1/(1+t^2) at the midpoint
-    nodes; values are asserted identical, only the clock differs.
+    nodes; the values must be identical (ReferenceIntegrityError
+    otherwise), only the clock differs.
     """
     from .oracle import RationalFunction
     size = args.sizes[-1]
@@ -307,7 +312,9 @@ def _bench_deriv_paths(args: argparse.Namespace) -> list[dict[str, str]]:
         return out
 
     if closed() != oracle():
-        raise AssertionError("derivative paths disagree (arithmetic bug)")
+        raise ReferenceIntegrityError(
+            "closed-form and quotient-rule derivatives disagree "
+            "(arithmetic bug)")
     rows = []
     for name, fn in (("eq5", closed), ("oracle", oracle)):
         rows.append({

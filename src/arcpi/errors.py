@@ -23,7 +23,8 @@ class ComparisonError(ValueError):
 
 
 class ReferenceIntegrityError(RuntimeError):
-    """The two independent sources of reference digits disagree.
+    """Two independent routes disagree: the two sources of reference
+    digits, or two evaluation paths that must give the same value.
 
     This can only mean an arithmetic bug (or a corrupted data file) and is
     always fatal.

@@ -1,6 +1,6 @@
 """Exact arbitrary-precision arithmetic: rationals and Gaussian-integer
-powers, pairwise rational summation, decimal expansion and digit-agreement
-counting.
+powers, pairwise summation of rationals and of unreduced int pairs, decimal
+expansion and digit-agreement counting.
 
 Rationals are python's ``fractions.Fraction``, which already keeps the
 canonical form this library relies on everywhere: positive denominator,
@@ -10,20 +10,33 @@ is a nonnegative power of one, so all the heavy lifting stays in integer
 arithmetic and a single big denominator appears only when the result is
 turned into a ``Fraction``.
 
+A sum that only feeds a decimal expansion stays an unreduced
+``(num, den)`` pair (``pair_sum``, ``decimal_expand``): python's gcd is
+quadratic, so reducing a few hundred kbit can cost more than computing it.
+Decimal strings come from ``int_to_decimal``, free of python's int-to-str
+digit limit.
+
 Every value here is immutable and every operation is a pure function, so
 values can be shipped freely between worker processes.
 """
 
 from __future__ import annotations
 
+import operator
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .errors import ComparisonError
 
+T = TypeVar("T")
+
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+
+# int_to_decimal converts chunks below 10**_CHUNK_DIGITS with str(); 256 is
+# under python's smallest int-to-str limit (640 digits).
+_CHUNK_DIGITS = 256
 
 
 def parse_rational(text: str) -> Fraction:
@@ -41,6 +54,17 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
+def _pairwise(level: list[T], add: Callable[[T, T], T]) -> T:
+    """Add neighbours of a non-empty list, then the halved list again,
+    until one value is left."""
+    while len(level) > 1:
+        paired = [add(a, b) for a, b in zip(level[0::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
+
+
 def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
     """Exact sum by pairwise addition: neighbours are added, then the
     halved list again, until one value is left; ``[]`` sums to 0.
@@ -51,14 +75,21 @@ def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
     few additions are large.
     """
     level = list(values)
-    if not level:
-        return Fraction(0)
-    while len(level) > 1:
-        paired = [a + b for a, b in zip(level[0::2], level[1::2])]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level[0]
+    return _pairwise(level, operator.add) if level else Fraction(0)
+
+
+def _add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    (n1, d1), (n2, d2) = a, b
+    return n1 * d2 + n2 * d1, d1 * d2
+
+
+def pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """Sum of the fractions n/d given as (n, d) int pairs, added in the
+    same pairwise order as ``pairwise_sum`` and left unreduced: no gcd is
+    taken, and the result's denominator is the product of the inputs'.
+    ``[]`` sums to (0, 1)."""
+    level = list(pairs)
+    return _pairwise(level, _add_pairs) if level else (0, 1)
 
 
 def gaussian_pow(re: int, im: int, k: int) -> tuple[int, int]:
@@ -109,19 +140,66 @@ class DecimalExpansion:
         return "-" + body if self.sign == "-" else body
 
 
-def decimal_expand(r: Fraction, n_fraction_digits: int) -> DecimalExpansion:
+def int_to_decimal(n: int) -> str:
+    """Decimal string of an int, the same as ``str(n)`` but with no digit
+    limit.
+
+    Divide and conquer: n is split by 10**(c * 2**k) into a high and a
+    zero-padded low half until every piece is below 10**c, and only those
+    pieces go through ``str``.  ``sys.set_int_max_str_digits`` is never
+    touched.
+    """
+    if n < 0:
+        return "-" + int_to_decimal(-n)
+    powers = [10**_CHUNK_DIGITS]  # powers[k] = 10**(_CHUNK_DIGITS * 2**k)
+    while (square := powers[-1] * powers[-1]) <= n:
+        powers.append(square)
+
+    def convert(v: int, level: int, width: int) -> str:
+        # v < powers[level + 1]; width 0 means no leading zeros
+        if level < 0:
+            return str(v).zfill(width)
+        high, low = divmod(v, powers[level])
+        half = _CHUNK_DIGITS << level
+        if not (high or width):
+            return convert(low, level - 1, 0)
+        return (convert(high, level - 1, width - half if width else 0)
+                + convert(low, level - 1, half))
+
+    return convert(n, len(powers) - 1, 0)
+
+
+def exact_str(r: Fraction) -> str:
+    """``str(r)`` for a ``Fraction`` ("p/q", or "p" when q is 1), with no
+    digit limit."""
+    num = int_to_decimal(r.numerator)
+    if r.denominator == 1:
+        return num
+    return f"{num}/{int_to_decimal(r.denominator)}"
+
+
+def decimal_expand(
+    r: Fraction | tuple[int, int], n_fraction_digits: int
+) -> DecimalExpansion:
     """Expand ``r`` to exactly ``n_fraction_digits`` fractional digits by
-    long division, truncating (never rounding) the remainder."""
+    long division, truncating (never rounding) the remainder.
+
+    ``r`` is a ``Fraction`` or a ``(num, den)`` pair of ints with den > 0,
+    reduced or not: the digits depend only on the value, so a pair never
+    needs the gcd that building a ``Fraction`` would take.
+    """
     if n_fraction_digits < 1:
         raise ValueError("need at least one fraction digit")
-    sign = "-" if r < 0 else "+"
-    num, den = abs(r.numerator), r.denominator
-    integer_part, remainder = divmod(num, den)
+    num, den = r if isinstance(r, tuple) else r.as_integer_ratio()
+    if den <= 0:
+        raise ValueError("decimal expansion needs a positive denominator")
+    sign = "-" if num < 0 else "+"
+    integer_part, remainder = divmod(abs(num), den)
     scaled, tail = divmod(remainder * 10**n_fraction_digits, den)
     return DecimalExpansion(
         sign=sign,
-        integer_digits=str(integer_part),
-        fraction_digits=str(scaled).zfill(n_fraction_digits),
+        integer_digits=int_to_decimal(integer_part),
+        fraction_digits=int_to_decimal(scaled).zfill(n_fraction_digits),
         truncated=tail != 0,
     )
 

@@ -9,6 +9,11 @@ Three exact evaluators share the truncation parameters (L, M):
   every term evaluated with the closed-form sum.  Small arguments make
   the truncation far more accurate at equal (L, M).
 
+``measure`` grades digits from a ``(num, den)`` pair, which the gauss
+route leaves unreduced (``gauss_pair``): one gcd of that result costs more
+than computing it.  Reduction happens only in ``PiResult.approx`` and the
+public ``pi_*`` evaluators, which return ``Fraction``s.
+
 Digit counts are measured against a dual-sourced reference: an embedded
 published 1000-digit constant, and an independent Machin-formula
 computation with rigorous alternating-series error bounds.  The two must
@@ -24,13 +29,13 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arctan import arctan_closed_form
+from .arctan import arctan_closed_form, closed_form_pair, pool_starmap
 from .errors import DomainError, ReferenceIntegrityError
 from .exact import (
     DecimalExpansion,
     decimal_expand,
     matching_digits,
-    pairwise_sum,
+    pair_sum,
 )
 from .kernels import deriv_inv_one_plus_t2
 from .quadrature import ComputationParams, integrate_even_orders
@@ -57,13 +62,24 @@ METHODS = ("eq17", "eq18", "gauss", "machin")
 
 @dataclass(frozen=True, slots=True)
 class PiResult:
-    """One measured pi run."""
+    """One measured pi run.
 
-    approx: Fraction
+    ``pair`` is the computed value as a ``(num, den)`` pair, not
+    necessarily reduced; ``expansion`` is its graded decimal expansion.
+    """
+
+    pair: tuple[int, int]
+    expansion: DecimalExpansion
     method: str
     params: ComputationParams
     matched_digits: int
     elapsed_ms: float
+
+    @property
+    def approx(self) -> Fraction:
+        """The computed value as a reduced ``Fraction`` (one gcd, taken on
+        every read)."""
+        return Fraction(*self.pair)
 
 
 def pi_closed_form(
@@ -83,15 +99,31 @@ def pi_derivative_form(p: ComputationParams) -> Fraction:
     return 4 * integrate_even_orders(deriv_inv_one_plus_t2, p)
 
 
-def pi_gauss(p: ComputationParams, workers: int | None = None) -> Fraction:
-    """Nine-term Gauss arctangent combination at shared (L, M).
+def _gauss_term_pair(
+    mult: int, recip: int, p: ComputationParams
+) -> tuple[int, int]:
+    num, den = closed_form_pair(Fraction(1, recip), p, range(1, p.L + 1))
+    return mult * num, den
 
-    The nine weighted terms are added pairwise, so only the last additions
-    reduce operands as large as the result.
+
+def gauss_pair(
+    p: ComputationParams, workers: int | None = None
+) -> tuple[int, int]:
+    """``pi_gauss`` as an unreduced ``(num, den)`` pair, with no gcd.
+
+    Each of the nine terms is an unreduced closed-form pair; the terms are
+    added pairwise (``exact.pair_sum``).  ``workers`` > 1 maps the nine
+    terms over one process pool (``arctan.pool_starmap``).
     """
-    return 4 * pairwise_sum(
-        mult * arctan_closed_form(Fraction(1, recip), p, workers=workers)
-        for mult, recip in GAUSS_TERMS)
+    tasks = [(mult, recip, p) for mult, recip in GAUSS_TERMS]
+    num, den = pair_sum(pool_starmap(_gauss_term_pair, tasks, workers))
+    return 4 * num, den
+
+
+def pi_gauss(p: ComputationParams, workers: int | None = None) -> Fraction:
+    """Nine-term Gauss arctangent combination at shared (L, M), reduced
+    once from ``gauss_pair``."""
+    return Fraction(*gauss_pair(p, workers=workers))
 
 
 def arctan_taylor_reference(x: Fraction, n_digits: int) -> Fraction:
@@ -191,22 +223,22 @@ def measure(
     _check_reference_digits(n_digits)
     start = time.perf_counter()
     if method == "eq17":
-        approx = pi_closed_form(p, workers=workers)
+        pair = pi_closed_form(p, workers=workers).as_integer_ratio()
     elif method == "eq18":
-        approx = pi_derivative_form(p)
+        pair = pi_derivative_form(p).as_integer_ratio()
     elif method == "gauss":
-        approx = pi_gauss(p, workers=workers)
+        pair = gauss_pair(p, workers=workers)
     elif method == "machin":
-        approx = pi_machin(n_digits)
+        pair = pi_machin(n_digits).as_integer_ratio()
     else:
         raise ValueError(f"unknown method {method!r} (want one of {METHODS})")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    matched = matching_digits(
-        decimal_expand(approx, n_digits), reference_pi(n_digits))
+    expansion = decimal_expand(pair, n_digits)
     return PiResult(
-        approx=approx,
+        pair=pair,
+        expansion=expansion,
         method=method,
         params=p,
-        matched_digits=matched,
+        matched_digits=matching_digits(expansion, reference_pi(n_digits)),
         elapsed_ms=elapsed_ms,
     )

@@ -11,6 +11,7 @@ from arcpi.arctan import (
     arctan_closed_form,
     arctan_derivative_form,
     closed_form_block,
+    closed_form_pair,
 )
 from arcpi.pi import arctan_taylor_reference, reference_pi
 from arcpi.quadrature import ComputationParams
@@ -201,9 +202,14 @@ def block_cases(draw):
 @example((F(-5, 2), P(6, 0), [2, 5, 1]))
 @example((F(1, 3), P(1, 0), [1]))
 @example((F(2), P(4, 3), []))
+@example((F(0), P(3, 3), [1, 2]))
 def test_block_equals_term_by_term_sum(case):
+    """The unreduced pair, and the block reduced from it, have the value
+    of the per-term Fraction loop; the pair's denominator is positive."""
     x, p, ells = case
-    assert closed_form_block(x, p, ells) == \
+    num, den = closed_form_pair(x, p, ells)
+    assert den > 0
+    assert Fraction(num, den) == closed_form_block(x, p, ells) == \
         closed_form_block_reference(x, p, ells)
 
 
@@ -226,25 +232,6 @@ def test_block_partition_sums_to_the_whole(x, L, M, data):
         closed_form_block(x, p, range(1, L + 1))
 
 
-class _SerialPool:
-    """Stands in for multiprocessing.Pool: records the requested process
-    count and maps in this process, so no process is ever started."""
-
-    sizes: list[int] = []
-
-    def __init__(self, processes):
-        _SerialPool.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(item) for item in items]
-
-
 @pytest.mark.parametrize("cpus, workers, L, want", [
     (3, 5000, 50, [3]),      # capped by the CPU count
     (8, 5000, 5, [5]),       # capped by the node count
@@ -252,11 +239,10 @@ class _SerialPool:
     (1, 4, 50, []),          # one CPU: serial, no pool
     (None, 4, 50, []),       # unknown CPU count counts as one
 ])
-def test_pool_size_is_capped(monkeypatch, cpus, workers, L, want):
-    _SerialPool.sizes = []
-    monkeypatch.setattr(arctan.multiprocessing, "Pool", _SerialPool)
+def test_pool_size_is_capped(monkeypatch, pool_sizes, cpus, workers, L,
+                            want):
     monkeypatch.setattr(arctan.os, "cpu_count", lambda: cpus)
     x, p = F(1, 5), P(L, 2)
     assert arctan_closed_form(x, p, workers=workers) == \
         closed_form_block(x, p, range(1, L + 1))
-    assert _SerialPool.sizes == want
+    assert pool_sizes == want

@@ -1,14 +1,25 @@
 """Command-line behavior: output shapes, exit codes, JSON contract."""
 
 import json
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from arcpi import acceptance, cli
+from arcpi.arctan import arctan_closed_form
 from arcpi.errors import ReferenceIntegrityError
+from arcpi.kernels import arctan_deriv
+from arcpi.pi import PiResult
+from arcpi.quadrature import ComputationParams, integrate_all_orders
+
+# `pi --format json` reports of the ladder, elapsed_ms removed, as printed
+# before pi digits were graded from unreduced pairs.
+GOLDEN_PI_JSON = (Path(__file__).parent / "data" /
+                  "pi_json_golden.jsonl").read_text().splitlines()
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +89,65 @@ class TestPiCommand:
                                "--digits", "1001")
         assert code == 3
         assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "golden", GOLDEN_PI_JSON,
+    ids=[f"{r['method']}-{r['L']}" for r in map(json.loads, GOLDEN_PI_JSON)])
+def test_pi_json_matches_golden_bytes(capsys, golden):
+    record = json.loads(golden)
+    code, out, err = run_cli(
+        capsys, "pi", "--method", record["method"], "-L", record["L"],
+        "-M", record["M"], "--digits", record["digits_requested"],
+        "--format", "json")
+    assert code == 0, err
+    assert re.sub(r', "elapsed_ms": "[0-9.]+"', "", out) == golden + "\n"
+
+
+def test_gauss_report_never_reduces(capsys, monkeypatch):
+    """Grading and printing `pi --method gauss` read no reduced rational."""
+    def reduce(self):
+        raise AssertionError("PiResult.approx read by the pi command")
+    monkeypatch.setattr(PiResult, "approx", property(reduce))
+    record = run_json(capsys, "pi", "--method", "gauss", "-L", "8", "-M", "8",
+                      "--digits", "60")
+    assert record["matched_digits"] == "50"
+
+
+class TestIntStrLimit:
+    """Exact printers and decimal expansions past python's 4300-digit
+    int-to-str limit."""
+
+    def test_arctan_exact(self, capsys, read_rational):
+        code, out, err = run_cli(capsys, "arctan", "--x", "1/485298",
+                                 "-L", "46", "-M", "46", "--exact")
+        assert code == 0, err
+        shown = out.splitlines()[0]
+        assert max(len(part) for part in shown.split("/")) > 4300
+        assert read_rational(shown) == arctan_closed_form(
+            Fraction(1, 485298), ComputationParams(46, 46))
+
+    def test_arctan_digits(self, capsys):
+        code, out, err = run_cli(capsys, "arctan", "--x", "1/5", "-L", "4",
+                                 "-M", "4", "--digits", "5000")
+        assert code == 0, err
+        assert len(out.splitlines()[0]) == len("0.") + 5000
+
+    def test_deriv_value(self, capsys, read_rational):
+        code, out, err = run_cli(capsys, "deriv", "-m", "2000", "--t", "1/3")
+        assert code == 0, err
+        assert len(out.splitlines()[0]) > 4300
+        assert read_rational(out.splitlines()[0]) == \
+            arctan_deriv(2000, Fraction(1, 3))
+
+    def test_quad_exact(self, capsys, read_rational):
+        code, out, err = run_cli(capsys, "quad", "-L", "30", "-M", "60",
+                                 "--exact")
+        assert code == 0, err
+        shown = out.splitlines()[1]
+        assert max(len(part) for part in shown.split("/")) > 4300
+        assert read_rational(shown) == integrate_all_orders(
+            cli.deriv_inv_one_plus_t2, ComputationParams(30, 60))
 
 
 class TestArctanCommand:
@@ -210,6 +280,17 @@ class TestBenchCommand:
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
         assert [r["method"] for r in records] == ["eq5", "oracle"]
+
+    def test_deriv_paths_disagreement_is_integrity_error(self, capsys,
+                                                         monkeypatch):
+        kernel = cli.deriv_inv_one_plus_t2
+        monkeypatch.setattr(cli, "deriv_inv_one_plus_t2",
+                            lambda m, t: kernel(m, t) + (m == 2))
+        code, out, err = run_cli(capsys, "bench", "--suite", "deriv-paths",
+                                 "--sizes", "3")
+        assert code == cli.INTEGRITY_EXIT == 4
+        assert out == ""
+        assert "disagree" in err
 
     def test_repetitions(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--suite", "pi-ladder",

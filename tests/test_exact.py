@@ -1,15 +1,20 @@
 """Rational and Gaussian-integer arithmetic groundwork."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arcpi.exact import (
     ComparisonError,
     decimal_expand,
+    exact_str,
     gaussian_pow,
+    int_to_decimal,
     matching_digits,
+    pair_sum,
     pairwise_sum,
     parse_rational,
 )
@@ -116,6 +121,31 @@ class TestDecimalExpand:
             decimal_expand(F(1, 3), 0)
 
 
+    @pytest.mark.parametrize("pair", [(1, 0), (1, -3), (0, 0)])
+    def test_rejects_non_positive_denominator(self, pair):
+        with pytest.raises(ValueError):
+            decimal_expand(pair, 3)
+
+    def test_fraction_digits_past_the_int_str_limit(self):
+        e = decimal_expand(F(1, 7), 5000)
+        assert e.fraction_digits == ("142857" * 834)[:5000]
+        assert e.truncated
+
+    def test_integer_digits_past_the_int_str_limit(self):
+        e = decimal_expand((2 * 10**5000 + 2, 6), 2)  # (10**5000 + 1) / 3
+        assert e.integer_digits == "3" * 5000
+        assert e.fraction_digits == "66"
+
+
+@given(rationals, st.integers(min_value=1, max_value=10**30),
+       st.integers(min_value=1, max_value=60))
+def test_unreduced_pair_expands_like_the_fraction(r, k, n):
+    """A (num, den) pair scaled by any common factor, with a signed num,
+    expands to the same digits as the reduced Fraction."""
+    assert decimal_expand((r.numerator * k, r.denominator * k), n) == \
+        decimal_expand(r, n)
+
+
 @given(rationals, st.integers(min_value=1, max_value=25))
 def test_expand_round_trip_error_bound(r, n):
     """Reading the digits back lands within 10**-n of the source."""
@@ -170,3 +200,68 @@ class TestPairwiseSum:
 
     def test_accepts_an_iterator(self):
         assert pairwise_sum(F(1, 2 ** k) for k in range(5)) == F(31, 16)
+
+
+class TestPairSum:
+    def test_empty_is_zero(self):
+        assert pair_sum([]) == (0, 1)
+
+    def test_single_pair_is_left_unreduced(self):
+        assert pair_sum([(-6, 14)]) == (-6, 14)
+
+    def test_odd_length(self):
+        pairs = [(1, k) for k in range(1, 8)]
+        num, den = pair_sum(iter(pairs))
+        assert den == math.factorial(7)
+        assert F(num, den) == F(363, 140)
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6),
+                          st.integers(min_value=1, max_value=10**6)),
+                max_size=12))
+def test_pair_sum_is_the_exact_sum_over_the_product_denominator(pairs):
+    num, den = pair_sum(pairs)
+    assert den == math.prod(d for _, d in pairs)
+    assert F(num, den) == sum((F(n, d) for n, d in pairs), F(0))
+
+
+class TestIntToDecimal:
+    """``int_to_decimal`` agrees with ``str`` below python's int-to-str
+    limit and rebuilds the int exactly above it, at any limit setting."""
+
+    @pytest.mark.parametrize("n", [
+        0, 7, -7, 10**255, 10**256 - 1, 10**256, 10**256 + 1, -(10**511),
+        10**512 + 10**256, 10**599 + 3])
+    def test_small_ints_match_str(self, n):
+        assert int_to_decimal(n) == str(n)
+
+    @given(st.integers(min_value=-10**600, max_value=10**600))
+    def test_matches_str_below_the_limit(self, n):
+        assert int_to_decimal(n) == str(n)
+
+    @pytest.mark.parametrize("k", [4096, 4301, 8192, 8193, 16384])
+    @pytest.mark.parametrize("shape", ["power", "below", "above", "gap"])
+    def test_zero_heavy_ints_past_the_limit(self, read_rational, k, shape):
+        n = {"power": 10**k, "below": 10**k - 1, "above": 10**k + 1,
+             "gap": 7 * 10**k + 10**(k // 2)}[shape]
+        text = int_to_decimal(n)
+        assert read_rational(text) == n
+        assert len(text) == k + (shape != "below")
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(min_value=4301, max_value=30000),
+           st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+    def test_rebuilds_random_ints_past_the_limit(
+            self, read_rational, n_digits, seed, negative):
+        n = random.Random(seed).randrange(10 ** (n_digits - 1), 10**n_digits)
+        if negative:
+            n = -n
+        text = int_to_decimal(n)
+        assert read_rational(text) == n
+        assert len(text) == n_digits + negative
+
+    def test_exact_str_of_a_long_fraction(self, read_rational):
+        r = F(10**5000 + 1, 3**7000)
+        assert read_rational(exact_str(r)) == r
+        assert exact_str(F(-5)) == "-5"
+        assert exact_str(F(-6, 4)) == "-3/2"

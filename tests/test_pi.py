@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from arcpi import pi
+from arcpi import arctan, pi
 from arcpi.errors import DomainError
 from arcpi.exact import decimal_expand, matching_digits
 from arcpi.pi import (
     GAUSS_TERMS,
     METHODS,
     arctan_taylor_reference,
+    gauss_pair,
     measure,
     pi_closed_form,
     pi_derivative_form,
@@ -99,6 +100,31 @@ class TestGaussCombination:
         p = P(5, 5)
         assert pi_gauss(p, workers=3) == pi_gauss(p)
 
+    @pytest.mark.parametrize("p", [P(1, 0), P(3, 4), P(5, 2)])
+    def test_pair_is_the_sum_of_reduced_terms(self, p):
+        num, den = gauss_pair(p)
+        assert den > 0
+        assert Fraction(num, den) == pi_gauss(p) == 4 * sum(
+            mult * arctan_closed_form(F(1, recip), p)
+            for mult, recip in GAUSS_TERMS)
+
+
+@pytest.mark.parametrize("cpus, workers, want", [
+    (8, 4, [4]),        # the request itself
+    (16, 50, [9]),      # capped by the nine terms
+    (2, 50, [2]),       # capped by the CPU count
+    (1, 4, []),         # one CPU: serial, no pool
+    (8, None, []),      # serial by default
+])
+def test_gauss_opens_at_most_one_pool(monkeypatch, pool_sizes, cpus, workers,
+                                      want):
+    monkeypatch.setattr(arctan.os, "cpu_count", lambda: cpus)
+    p = P(3, 3)
+    serial = gauss_pair(p)
+    assert pool_sizes == []
+    assert gauss_pair(p, workers=workers) == serial
+    assert pool_sizes == want
+
 
 class TestTaylorReference:
     def test_zero(self):
@@ -161,6 +187,16 @@ class TestMeasure:
         r = measure("machin", P(1, 1), 200)
         assert r.matched_digits == 201
 
+    @pytest.mark.parametrize("method", ["eq17", "gauss"])
+    def test_result_keeps_pair_and_graded_expansion(self, method):
+        p = P(4, 4)
+        r = measure(method, p, 40)
+        exact = pi_gauss(p) if method == "gauss" else pi_closed_form(p)
+        assert Fraction(*r.pair) == r.approx == exact
+        assert r.expansion == decimal_expand(exact, 40)
+        assert r.matched_digits == matching_digits(
+            r.expansion, reference_pi(40))
+
     def test_methods_list(self):
         assert set(METHODS) == {"eq17", "eq18", "gauss", "machin"}
 
@@ -174,15 +210,17 @@ class TestMeasure:
             self, monkeypatch, method, n):
         calls = []
 
-        def recorder(name):
+        def recorder(name, value):
             def evaluator(*args, **kwargs):
                 calls.append(name)
-                return F(3)
+                return value
             return evaluator
 
-        for name in ("pi_closed_form", "pi_derivative_form", "pi_gauss",
-                     "pi_machin"):
-            monkeypatch.setattr(pi, name, recorder(name))
+        for name, value in (("pi_closed_form", F(3)),
+                            ("pi_derivative_form", F(3)),
+                            ("gauss_pair", (3, 1)),
+                            ("pi_machin", F(3))):
+            monkeypatch.setattr(pi, name, recorder(name, value))
         with pytest.raises(DomainError):
             measure(method, P(46, 46), n)
         assert calls == []
