@@ -16,9 +16,7 @@ derivative orders up to M, but by unrelated routes:
   arctan(x*t).
 
 The two routes agree exactly, rational to rational, for every x, L, M;
-that equality is the library's central invariant.  The outer l-sum of the
-closed form can be partitioned across worker processes; exact addition
-makes the parallel result identical to the serial one.
+that equality is the library's central invariant.
 
 Accumulation in the closed form runs in plain ints.  With
 K = floor(M/2) + 1 inner terms, each node's sum is put over the common
@@ -34,16 +32,12 @@ would instead run one gcd per term against an ever larger running total.
 from __future__ import annotations
 
 import math
-import multiprocessing
-import os
 from fractions import Fraction
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from .exact import gaussian_pow, pair_sum
 from .kernels import arctan_deriv_scaled
 from .quadrature import ComputationParams, integrate_even_orders
-
-R = TypeVar("R")
 
 
 def closed_form_pair(
@@ -89,39 +83,11 @@ def closed_form_block(
     return Fraction(*closed_form_pair(x, p, ells))
 
 
-def pool_starmap(fn: Callable[..., R], tasks: Sequence[tuple],
-                 workers: int | None) -> list[R]:
-    """``[fn(*t) for t in tasks]``, computed by one process pool of
-    min(workers, len(tasks), os.cpu_count()) processes; a count of 1 runs
-    serially and opens no pool.  ``fn`` must be picklable."""
-    processes = min(workers or 1, len(tasks), os.cpu_count() or 1)
-    if processes <= 1:
-        return [fn(*t) for t in tasks]
-    with multiprocessing.Pool(processes) as pool:
-        return pool.starmap(fn, tasks)
-
-
-def arctan_closed_form(
-    x: Fraction, p: ComputationParams, workers: int | None = None
-) -> Fraction:
-    """Truncated arctangent sum via Gaussian-integer powers.
-
-    x = 0 is special-cased to exact 0 (the node terms 2iL/x are undefined
-    there, and arctan(0) = 0).  ``workers`` > 1 splits the outer sum into
-    contiguous blocks evaluated by ``pool_starmap``; the blocks come back as
-    unreduced pairs and the whole sum is reduced once.
-    """
-    if x == 0:
-        return Fraction(0)
-    ells = range(1, p.L + 1)
-    workers = min(workers or 1, p.L, os.cpu_count() or 1)
-    if workers <= 1:
-        return closed_form_block(x, p, ells)
-    size = -(-p.L // workers)
-    blocks = [ells[i : i + size] for i in range(0, p.L, size)]
-    partials = pool_starmap(
-        closed_form_pair, [(x, p, b) for b in blocks], workers)
-    return Fraction(*pair_sum(partials))
+def arctan_closed_form(x: Fraction, p: ComputationParams) -> Fraction:
+    """Truncated arctangent sum via Gaussian-integer powers: the block of
+    all L nodes, reduced once.  x = 0 gives exact 0 (the node terms 2iL/x
+    are undefined there, and arctan(0) = 0)."""
+    return closed_form_block(x, p, range(1, p.L + 1))
 
 
 def arctan_derivative_form(x: Fraction, p: ComputationParams) -> Fraction:

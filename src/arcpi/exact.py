@@ -128,13 +128,6 @@ class DecimalExpansion:
         """Integer and fraction digits concatenated, decimal point dropped."""
         return self.integer_digits + self.fraction_digits
 
-    def to_fraction(self) -> Fraction:
-        """The rational the digit string denotes (a lower bound in magnitude
-        on the source value when ``truncated``)."""
-        scale = 10 ** len(self.fraction_digits)
-        value = Fraction(int(self.integer_digits + self.fraction_digits), scale)
-        return -value if self.sign == "-" else value
-
     def __str__(self) -> str:
         body = f"{self.integer_digits}.{self.fraction_digits}"
         return "-" + body if self.sign == "-" else body

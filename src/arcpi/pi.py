@@ -23,13 +23,14 @@ approximation under test therefore never grades itself.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arctan import arctan_closed_form, closed_form_pair, pool_starmap
+from .arctan import arctan_closed_form, closed_form_pair
 from .errors import DomainError, ReferenceIntegrityError
 from .exact import (
     DecimalExpansion,
@@ -82,11 +83,9 @@ class PiResult:
         return Fraction(*self.pair)
 
 
-def pi_closed_form(
-    p: ComputationParams, workers: int | None = None
-) -> Fraction:
+def pi_closed_form(p: ComputationParams) -> Fraction:
     """4 * arctan(1), arctangent taken as the closed-form truncated sum."""
-    return 4 * arctan_closed_form(Fraction(1), p, workers=workers)
+    return 4 * arctan_closed_form(Fraction(1), p)
 
 
 def pi_derivative_form(p: ComputationParams) -> Fraction:
@@ -113,10 +112,18 @@ def gauss_pair(
 
     Each of the nine terms is an unreduced closed-form pair; the terms are
     added pairwise (``exact.pair_sum``).  ``workers`` > 1 maps the nine
-    terms over one process pool (``arctan.pool_starmap``).
+    terms over one pool of min(workers, 9, os.cpu_count()) processes; the
+    result is the same pair as the serial one.
     """
     tasks = [(mult, recip, p) for mult, recip in GAUSS_TERMS]
-    num, den = pair_sum(pool_starmap(_gauss_term_pair, tasks, workers))
+    processes = min(workers or 1, len(tasks), os.cpu_count() or 1)
+    if processes > 1:
+        import multiprocessing  # here, so `import arcpi.cli` skips it
+        with multiprocessing.Pool(processes) as pool:
+            terms = pool.starmap(_gauss_term_pair, tasks)
+    else:
+        terms = [_gauss_term_pair(*t) for t in tasks]
+    num, den = pair_sum(terms)
     return 4 * num, den
 
 
@@ -218,12 +225,13 @@ def measure(
     """Run one method, count digits agreeing with the reference, and time it.
 
     ``n_digits`` outside 1..REFERENCE_DIGITS raises DomainError before any
-    computation starts, since no result could be graded.
+    computation starts, since no result could be graded.  ``workers``
+    applies to ``gauss`` only (``gauss_pair``).
     """
     _check_reference_digits(n_digits)
     start = time.perf_counter()
     if method == "eq17":
-        pair = pi_closed_form(p, workers=workers).as_integer_ratio()
+        pair = pi_closed_form(p).as_integer_ratio()
     elif method == "eq18":
         pair = pi_derivative_form(p).as_integer_ratio()
     elif method == "gauss":

@@ -12,8 +12,6 @@ be recast over even orders only, with m running to floor(M/2) + 1:
 
 Both forms are finite truncations, exact over rationals, and agree term by
 term; integrands are supplied as derivative oracles returning exact values.
-The outer l-sum may be split into contiguous blocks and summed by
-independent workers: exact addition makes the combined result identical.
 
 Accumulation order: each node's weighted terms are added into one
 ``Fraction`` of their own, node by node, and the L node sums are then
@@ -32,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Sequence
+from typing import Callable
 
 from .exact import pairwise_sum
 
@@ -105,14 +103,11 @@ def _corrected_midpoint(
     f: DerivativeOracle,
     p: ComputationParams,
     weights: list[tuple[int, Fraction]],
-    block: Sequence[int] | None,
 ) -> Fraction:
-    """sum over l in ``block`` of sum over (order, w) of w * f(order, node_l),
+    """sum over l = 1..L of sum over (order, w) of w * f(order, node_l),
     reduced within each node, then added pairwise across nodes."""
-    ells = range(1, p.L + 1) if block is None else block
     node_sums = []
-    for ell in ells:
-        node = Fraction(2 * ell - 1, 2 * p.L)
+    for node in midpoint_nodes(p.L):
         node_sum = Fraction(0)
         for order, w in weights:
             node_sum += w * f(order, node)
@@ -121,35 +116,22 @@ def _corrected_midpoint(
 
 
 def integrate_all_orders(
-    f: DerivativeOracle,
-    p: ComputationParams,
-    block: Sequence[int] | None = None,
+    f: DerivativeOracle, p: ComputationParams
 ) -> Fraction:
     """Truncated corrected-midpoint sum over every order 0..M.
 
     Odd orders are evaluated and weighted by their (zero) coefficient, so
-    the oracle must be defined for them too.  ``block`` restricts the outer
-    sum to the given l-indices (for partitioned evaluation); the default is
-    all of 1..L.
+    the oracle must be defined for them too.
     """
-    return _corrected_midpoint(f, p, _all_order_weights(p), block)
+    return _corrected_midpoint(f, p, _all_order_weights(p))
 
 
 def integrate_even_orders(
-    f: DerivativeOracle,
-    p: ComputationParams,
-    block: Sequence[int] | None = None,
+    f: DerivativeOracle, p: ComputationParams
 ) -> Fraction:
     """Truncated corrected-midpoint sum querying even orders only.
 
     Queries f at orders 0, 2, ..., 2*floor(M/2); equal to
     ``integrate_all_orders`` on every input.
     """
-    return _corrected_midpoint(f, p, _even_order_weights(p), block)
-
-
-def integration_error(
-    f: DerivativeOracle, p: ComputationParams, exact: Fraction
-) -> Fraction:
-    """|even-order rule - exact| as an exact rational."""
-    return abs(integrate_even_orders(f, p) - exact)
+    return _corrected_midpoint(f, p, _even_order_weights(p))

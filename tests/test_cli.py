@@ -1,6 +1,9 @@
 """Command-line behavior: output shapes, exit codes, JSON contract."""
 
+import contextlib
+import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,8 +11,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from arcpi import acceptance, cli
+from arcpi import acceptance, cli, pi
 from arcpi.arctan import arctan_closed_form
 from arcpi.errors import ReferenceIntegrityError
 from arcpi.kernels import arctan_deriv
@@ -65,24 +69,11 @@ class TestPiCommand:
         assert int(record["matched_digits"]) == 41
 
     def test_workers_flag(self, capsys):
-        serial = run_json(capsys, "pi", "-L", "6", "-M", "6", "--digits", "8")
-        parallel = run_json(capsys, "pi", "-L", "6", "-M", "6",
-                            "--digits", "8", "--workers", "2")
+        argv = ("pi", "--method", "gauss", "-L", "6", "-M", "6",
+                "--digits", "40")
+        serial = run_json(capsys, *argv)
+        parallel = run_json(capsys, *argv, "--workers", "2")
         assert serial["approx_decimal"] == parallel["approx_decimal"]
-
-    def test_worker_env_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("ARCPI_MAX_WORKERS", "1")
-        record = run_json(capsys, "pi", "-L", "4", "-M", "4",
-                          "--digits", "8", "--workers", "64")
-        assert record["approx_decimal"].startswith("3.141")
-
-    def test_malformed_worker_env_cap_is_usage_error(self, capsys,
-                                                     monkeypatch):
-        monkeypatch.setenv("ARCPI_MAX_WORKERS", "abc")
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["pi", "-L", "2", "-M", "2", "--workers", "2"])
-        assert exc.value.code == 2
-        assert "ARCPI_MAX_WORKERS" in capsys.readouterr().err
 
     def test_digits_beyond_reference_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "pi", "-L", "1", "-M", "1",
@@ -189,6 +180,12 @@ class TestArctanCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["arctan", "--x", "1/0"])
+        assert exc.value.code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
 
 class TestDerivCommand:
     def test_exact_formula(self, capsys):
@@ -223,6 +220,22 @@ class TestDerivCommand:
         code, _, _ = run_cli(capsys, "deriv", "-m", "25", "--t", "1",
                              "--formula", "eq2")
         assert code == 3
+
+    def test_zero_denominator_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["deriv", "-m", "2", "--t", "1/0"])
+        assert exc.value.code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ("--formula", "eq2"),
+        ("--formula", "eq7", "--compare", "eq2"),
+    ])
+    def test_argument_past_float_range_is_domain_error(self, capsys, flags):
+        code, _, err = run_cli(capsys, "deriv", "-m", "2",
+                               "--t", str(10**400), *flags)
+        assert code == 3
+        assert "error:" in err
 
 
 class TestQuadCommand:
@@ -376,6 +389,93 @@ class TestErrorPaths:
         assert "digits disagree" in err
 
 
+# --- argv fuzzing ---------------------------------------------------------
+
+SMALL = st.integers(min_value=-2, max_value=8).map(str)
+DIGITS = st.integers(min_value=-1, max_value=60).map(str)
+RATIONAL_TEXT = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6).map(str),
+    st.tuples(st.integers(min_value=-10**6, max_value=10**6),
+              st.integers(min_value=-3, max_value=10**6))
+    .map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.integers(min_value=300, max_value=320).map(lambda k: str(10**k)),
+    st.sampled_from(["1/0", "0/0", "-7/0", "0.2", "1e3", "x", "", "+3/9",
+                     "1/-2", " 5 "]),
+)
+FORMULAS = st.sampled_from(["eq7", "eq2", "oracle"])
+
+
+def _flags(draw, *pairs):
+    """Each optional (flag, value strategy) pair, drawn or left out."""
+    argv = []
+    for flag, values in pairs:
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def cli_argvs(draw):
+    """argv lists over every computing subcommand: valid and invalid
+    flag values, rationals with q = 0, arguments past float range.
+    L, M <= 8, --digits <= 60 and -m <= 30 keep each run fast."""
+    sub = draw(st.sampled_from(["pi", "arctan", "deriv", "quad", "bench"]))
+    digits = ("--digits", DIGITS)
+    sizes = [("-L", SMALL), ("-M", SMALL)]
+    fmt = ("--format", st.sampled_from(["text", "json"]))
+    # pi and bench default to sizes up to 46 and 400 digits: always set them
+    if sub == "pi":
+        argv = ["pi", "--method", draw(st.sampled_from(pi.METHODS)),
+                "-L", draw(SMALL), "-M", draw(SMALL), "--digits", draw(DIGITS)]
+        argv += _flags(draw, fmt, (
+            "--workers", st.sampled_from(["0", "1", "3", "-1", "two"])))
+    elif sub == "arctan":
+        argv = ["arctan", "--x", draw(RATIONAL_TEXT)]
+        argv += _flags(draw, *sizes, digits, ("--exact", None), fmt)
+    elif sub == "deriv":
+        argv = ["deriv", "-m", str(draw(st.integers(-2, 30))),
+                "--t", draw(RATIONAL_TEXT)]
+        argv += _flags(draw, ("--formula", FORMULAS),
+                       ("--compare", FORMULAS), fmt)
+    elif sub == "quad":
+        argv = ["quad"] + _flags(
+            draw, ("--integrand", st.sampled_from(["kernel", "monomial"])),
+            ("--degree", st.integers(-1, 10).map(str)), *sizes,
+            ("--rule", st.sampled_from(["eq9", "eq10"])), digits,
+            ("--exact", None), fmt)
+    else:
+        argv = ["bench", "--suite",
+                draw(st.sampled_from(["pi-ladder", "deriv-paths"])),
+                "--sizes", ",".join(draw(st.lists(SMALL, min_size=1,
+                                                  max_size=2))),
+                "--digits", draw(DIGITS)]
+        argv += _flags(draw, ("--repetitions", st.sampled_from(
+            ["1", "2", "0"])), fmt)
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argvs())
+@example(["arctan", "--x", "1/0"])
+@example(["deriv", "-m", "2", "--t", "-3/0", "--compare", "oracle"])
+@example(["deriv", "-m", "2", "--t", str(10**400), "--formula", "eq2"])
+@example(["pi", "--method", "gauss", "-L", "2", "-M", "2", "--digits", "20",
+          "--workers", "3"])
+def test_fuzzed_argv_only_exits_with_a_defined_code(argv):
+    """Any argv ends in exit 0, 2 (usage), 3 (domain) or 4 (integrity),
+    never in another exception.  The CPU count reads as one, so
+    ``--workers`` starts no process."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        mp.setattr(os, "cpu_count", lambda: 1)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3, 4), (argv, err.getvalue())
+
+
 def test_console_script_entry_point():
     out = subprocess.run(
         [sys.executable, "-m", "arcpi.cli", "pi", "-L", "1", "-M", "1",
@@ -393,7 +493,8 @@ class TestImportPath:
         script = (
             "import sys\n"
             "import arcpi.cli\n"
-            "print(sorted(m for m in ('arcpi.acceptance', 'arcpi.oracle')\n"
+            "print(sorted(m for m in ('arcpi.acceptance', 'arcpi.oracle',\n"
+            "                          'multiprocessing')\n"
             "             if m in sys.modules))\n")
         out = subprocess.run([sys.executable, "-c", script],
                              capture_output=True, text=True, timeout=60)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from arcpi import arctan, pi
+from arcpi import pi
 from arcpi.errors import DomainError
 from arcpi.exact import decimal_expand, matching_digits
 from arcpi.pi import (
@@ -118,7 +118,7 @@ class TestGaussCombination:
 ])
 def test_gauss_opens_at_most_one_pool(monkeypatch, pool_sizes, cpus, workers,
                                       want):
-    monkeypatch.setattr(arctan.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(pi.os, "cpu_count", lambda: cpus)
     p = P(3, 3)
     serial = gauss_pair(p)
     assert pool_sizes == []
