@@ -25,8 +25,10 @@ Horner's rule in norm**2.  The node (numerator, norm**(2K-1)) pairs are
 added by a pairwise tree without any gcd (``exact.pair_sum``), and
 ``closed_form_pair`` returns the sum unreduced.  A ``Fraction +`` per term
 would instead run one gcd per term against an ever larger running total.
-``closed_form_block`` and ``arctan_closed_form`` reduce once per call;
-``arcpi pi`` grades digits from the unreduced pairs and never reduces.
+``closed_form_block`` and ``arctan_closed_form`` reduce once per call.
+``closed_form_nodes`` hands out the per-node pairs before any addition;
+``arcpi pi --method gauss`` floors each of them at a scaled precision
+and builds neither the sum nor its reduction (``pi.gauss_expansion``).
 """
 
 from __future__ import annotations
@@ -40,19 +42,18 @@ from .kernels import arctan_deriv_scaled
 from .quadrature import ComputationParams, integrate_even_orders
 
 
-def closed_form_pair(
+def closed_form_nodes(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
-) -> tuple[int, int]:
-    """Partial closed-form sum over the given outer indices, as an
-    unreduced ``(numerator, denominator)`` pair with a positive denominator.
+) -> tuple[int, list[tuple[int, int]]]:
+    """Per-node closed-form sums over the given outer indices, as
+    ``(odd_lcm, [(acc, norm**(2K-1)), ...])`` with one pair per index.
 
-    The sum over l in ``ells`` and m = 1..K of
-    2 num**(2m-1) Im(w**(2m-1)) / ((2m-1) norm**(2m-1)), with x = num/den,
-    w = num*(2l-1) + 2iL*den and norm = |w|**2, evaluated in ints over
-    one common denominator per node (module docstring).  No gcd is taken.
+    Node l contributes 2 * acc / (odd_lcm * norm**(2K-1)) to the sum, where
+    odd_lcm = lcm(1, 3, ..., 2K-1), x = num/den, w = num*(2l-1) + 2iL*den,
+    norm = |w|**2 and acc is the Horner numerator of
+    sum_{m=1..K} (odd_lcm/(2m-1)) num**(2m-1) Im(w**(2m-1)) norm**(2K-2m)
+    (module docstring).  Every denominator is positive; no gcd is taken.
     """
-    if x == 0:
-        return 0, 1
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
     k = p.inner_terms
@@ -72,6 +73,22 @@ def closed_form_pair(
                 num_pow *= num2
             acc = acc * norm2 + odd_lcm // (2 * m - 1) * num_pow * im
         node_sums.append((acc, norm ** (2 * k - 1)))
+    return odd_lcm, node_sums
+
+
+def closed_form_pair(
+    x: Fraction, p: ComputationParams, ells: Sequence[int]
+) -> tuple[int, int]:
+    """Partial closed-form sum over the given outer indices, as an
+    unreduced ``(numerator, denominator)`` pair with a positive denominator.
+
+    The sum over l in ``ells`` and m = 1..K of
+    2 num**(2m-1) Im(w**(2m-1)) / ((2m-1) norm**(2m-1)): the node sums of
+    ``closed_form_nodes`` added by ``exact.pair_sum``.  No gcd is taken.
+    """
+    if x == 0:
+        return 0, 1
+    odd_lcm, node_sums = closed_form_nodes(x, p, ells)
     total, denom = pair_sum(node_sums)
     return 2 * total, odd_lcm * denom
 

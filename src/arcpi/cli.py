@@ -154,7 +154,7 @@ def _run_arctan(args: argparse.Namespace) -> int:
     if matched is not None:
         lines.append(f"matched digits vs series reference: {matched}")
     _emit(args, {
-        "x": str(args.x),
+        "x": exact_str(args.x),
         "L": str(args.L),
         "M": str(args.M),
         "digits_requested": str(args.digits),
@@ -380,9 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_params(p, 46, 46)
     p.add_argument("--digits", type=_positive_int, default=400)
     p.add_argument("--workers", type=_positive_int, default=None,
-                   help="gauss only: evaluate the nine terms in a pool of "
-                        "up to this many processes (capped at the CPU "
-                        "count)")
+                   help="gauss only: when the digits need the exact sum, "
+                        "evaluate its nine terms in a pool of up to this "
+                        "many processes (capped at the CPU count)")
     add_format(p)
     p.set_defaults(run=_run_pi)
 

@@ -13,8 +13,8 @@ turned into a ``Fraction``.
 A sum that only feeds a decimal expansion stays an unreduced
 ``(num, den)`` pair (``pair_sum``, ``decimal_expand``): python's gcd is
 quadratic, so reducing a few hundred kbit can cost more than computing it.
-Decimal strings come from ``int_to_decimal``, free of python's int-to-str
-digit limit.
+Decimal strings come from ``int_to_decimal`` and go back through
+``decimal_to_int``, both free of python's int/str digit limit.
 
 Every value here is immutable and every operation is a pure function, so
 values can be shipped freely between worker processes.
@@ -34,8 +34,9 @@ T = TypeVar("T")
 
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
-# int_to_decimal converts chunks below 10**_CHUNK_DIGITS with str(); 256 is
-# under python's smallest int-to-str limit (640 digits).
+# int_to_decimal and decimal_to_int convert chunks of at most _CHUNK_DIGITS
+# digits with str() and int(); 256 is under python's smallest int/str limit
+# (640 digits).
 _CHUNK_DIGITS = 256
 
 
@@ -49,8 +50,8 @@ def parse_rational(text: str) -> Fraction:
     if not m:
         raise ValueError(
             f"not an exact rational: {text!r} (use 'p/q' or an integer)")
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
+    num = decimal_to_int(m.group(1))
+    den = decimal_to_int(m.group(2)) if m.group(2) else 1
     return Fraction(num, den)
 
 
@@ -160,6 +161,37 @@ def int_to_decimal(n: int) -> str:
                 + convert(low, level - 1, half))
 
     return convert(n, len(powers) - 1, 0)
+
+
+def decimal_to_int(text: str) -> int:
+    """Int of a decimal digit string with an optional sign, the same as
+    ``int(text)`` but with no digit limit: the inverse of
+    ``int_to_decimal``.
+
+    Divide and conquer: the low 10**(c * 2**k) digits are split off until
+    every piece has at most c digits, only those pieces go through
+    ``int``, and the halves are joined as high * 10**(c * 2**k) + low.
+    ``sys.set_int_max_str_digits`` is never touched.
+    """
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits.isdecimal():
+        raise ValueError(f"not a decimal integer: {text!r}")
+    powers = [10**_CHUNK_DIGITS]  # powers[k] = 10**(_CHUNK_DIGITS * 2**k)
+    while _CHUNK_DIGITS << len(powers) < len(digits):
+        powers.append(powers[-1] * powers[-1])
+
+    def convert(piece: str, level: int) -> int:
+        # len(piece) <= _CHUNK_DIGITS << (level + 1)
+        if level < 0:
+            return int(piece)
+        half = _CHUNK_DIGITS << level
+        if len(piece) <= half:
+            return convert(piece, level - 1)
+        return (convert(piece[:-half], level - 1) * powers[level]
+                + convert(piece[-half:], level - 1))
+
+    value = convert(digits, len(powers) - 1)
+    return -value if text[:1] == "-" else value
 
 
 def exact_str(r: Fraction) -> str:

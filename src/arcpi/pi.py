@@ -9,10 +9,12 @@ Three exact evaluators share the truncation parameters (L, M):
   every term evaluated with the closed-form sum.  Small arguments make
   the truncation far more accurate at equal (L, M).
 
-``measure`` grades digits from a ``(num, den)`` pair, which the gauss
-route leaves unreduced (``gauss_pair``): one gcd of that result costs more
-than computing it.  Reduction happens only in ``PiResult.approx`` and the
-public ``pi_*`` evaluators, which return ``Fraction``s.
+``measure`` grades a ``DecimalExpansion``.  For ``gauss`` it comes from
+``gauss_expansion``, which floors each exact node term at a scaled
+precision and certifies the digits from the floor errors; the exact sum
+(``gauss_pair``, an unreduced ``(num, den)`` pair of ~860 kbit at
+L = M = 46) is built only when that certificate cannot decide.  The
+public ``pi_*`` evaluators return reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
 published 1000-digit constant, and an independent Machin-formula
@@ -30,7 +32,7 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arctan import arctan_closed_form, closed_form_pair
+from .arctan import arctan_closed_form, closed_form_nodes, closed_form_pair
 from .errors import DomainError, ReferenceIntegrityError
 from .exact import (
     DecimalExpansion,
@@ -63,24 +65,14 @@ METHODS = ("eq17", "eq18", "gauss", "machin")
 
 @dataclass(frozen=True, slots=True)
 class PiResult:
-    """One measured pi run.
+    """One measured pi run: ``expansion`` is the computed value's graded
+    decimal expansion."""
 
-    ``pair`` is the computed value as a ``(num, den)`` pair, not
-    necessarily reduced; ``expansion`` is its graded decimal expansion.
-    """
-
-    pair: tuple[int, int]
     expansion: DecimalExpansion
     method: str
     params: ComputationParams
     matched_digits: int
     elapsed_ms: float
-
-    @property
-    def approx(self) -> Fraction:
-        """The computed value as a reduced ``Fraction`` (one gcd, taken on
-        every read)."""
-        return Fraction(*self.pair)
 
 
 def pi_closed_form(p: ComputationParams) -> Fraction:
@@ -125,6 +117,57 @@ def gauss_pair(
         terms = [_gauss_term_pair(*t) for t in tasks]
     num, den = pair_sum(terms)
     return 4 * num, den
+
+
+def _guard_digits(terms: int) -> int:
+    """Guard digits for a sum of ``terms`` floored node terms: room for
+    the floor errors, and ten digits more."""
+    return len(str(terms)) + 10
+
+
+def gauss_expansion(
+    p: ComputationParams, n_digits: int, workers: int | None = None
+) -> DecimalExpansion:
+    """``decimal_expand(gauss_pair(p, workers), n_digits)``, certified from
+    exact per-node floors so that the pair is rarely built.
+
+    Value: with (odd_lcm, nodes) = ``closed_form_nodes(1/recip, p, 1..L)``,
+    each closed-form pair is 2 * sum(acc / norm**E) / odd_lcm over its
+    nodes, so v = pi_gauss(p) is the sum over the nine (mult, recip) terms
+    and their L nodes of 8 * mult * acc / (odd_lcm * norm**E): n = 9 * L
+    fractions, every denominator positive.
+
+    Bound: let s = 10**(n_digits + g) and S the sum of the n floors
+    (8 * mult * acc * s) // (odd_lcm * norm**E).  A floor with a positive
+    denominator errs by a fraction in [0, 1), so S <= v * s < S + n.  The
+    wanted digits are D = floor(v * 10**n_digits) = floor(v * s / 10**g).
+    From S <= v * s, D >= S // 10**g.  From v * s < S + n, an integer,
+    D <= (S + n - 1) // 10**g.  When the two ends agree, D is exact.  When
+    moreover S % 10**g != 0, then v * s >= S > D * 10**g, so v * 10**n_digits
+    is no integer and the expansion is truncated.  S >= 0 makes v >= 0 and
+    the sign '+'.  All three hold, so the expansion of S / s to n_digits
+    digits (D, truncated) is that of v.
+
+    When a test fails, the digits come from the exact pair instead, once:
+    ``decimal_expand(gauss_pair(p, workers), n_digits)``.  ``workers``
+    serves only that fallback.  With g = len(str(n)) + 10 guard digits, an
+    interval of width n straddles a multiple of 10**g with a chance under
+    1e-10.
+    """
+    terms = len(GAUSS_TERMS) * p.L
+    guard = 10 ** _guard_digits(terms)
+    scale = 10**n_digits * guard
+    total = 0
+    for mult, recip in GAUSS_TERMS:
+        odd_lcm, nodes = closed_form_nodes(
+            Fraction(1, recip), p, range(1, p.L + 1))
+        weight = 8 * mult * scale
+        total += sum(weight * acc // (odd_lcm * norm_pow)
+                     for acc, norm_pow in nodes)
+    if (total >= 0 and total % guard
+            and total // guard == (total + terms - 1) // guard):
+        return decimal_expand((total, scale), n_digits)
+    return decimal_expand(gauss_pair(p, workers=workers), n_digits)
 
 
 def pi_gauss(p: ComputationParams, workers: int | None = None) -> Fraction:
@@ -225,25 +268,26 @@ def measure(
     """Run one method, count digits agreeing with the reference, and time it.
 
     ``n_digits`` outside 1..REFERENCE_DIGITS raises DomainError before any
-    computation starts, since no result could be graded.  ``workers``
-    applies to ``gauss`` only (``gauss_pair``).
+    computation starts, since no result could be graded.  ``gauss`` digits
+    come from ``gauss_expansion``, which builds no exact sum unless its
+    certificate fails; ``workers`` applies to that fallback only.  The
+    other methods expand their ``Fraction``.  ``elapsed_ms`` times the
+    computation and the expansion, not the grading.
     """
     _check_reference_digits(n_digits)
     start = time.perf_counter()
     if method == "eq17":
-        pair = pi_closed_form(p).as_integer_ratio()
+        expansion = decimal_expand(pi_closed_form(p), n_digits)
     elif method == "eq18":
-        pair = pi_derivative_form(p).as_integer_ratio()
+        expansion = decimal_expand(pi_derivative_form(p), n_digits)
     elif method == "gauss":
-        pair = gauss_pair(p, workers=workers)
+        expansion = gauss_expansion(p, n_digits, workers=workers)
     elif method == "machin":
-        pair = pi_machin(n_digits).as_integer_ratio()
+        expansion = decimal_expand(pi_machin(n_digits), n_digits)
     else:
         raise ValueError(f"unknown method {method!r} (want one of {METHODS})")
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    expansion = decimal_expand(pair, n_digits)
     return PiResult(
-        pair=pair,
         expansion=expansion,
         method=method,
         params=p,

@@ -17,7 +17,6 @@ from arcpi import acceptance, cli, pi
 from arcpi.arctan import arctan_closed_form
 from arcpi.errors import ReferenceIntegrityError
 from arcpi.kernels import arctan_deriv
-from arcpi.pi import PiResult
 from arcpi.quadrature import ComputationParams, integrate_all_orders
 
 # `pi --format json` reports of the ladder, elapsed_ms removed, as printed
@@ -96,10 +95,11 @@ def test_pi_json_matches_golden_bytes(capsys, golden):
 
 
 def test_gauss_report_never_reduces(capsys, monkeypatch):
-    """Grading and printing `pi --method gauss` read no reduced rational."""
-    def reduce(self):
-        raise AssertionError("PiResult.approx read by the pi command")
-    monkeypatch.setattr(PiResult, "approx", property(reduce))
+    """`pi --method gauss` certifies its digits from per-node floors: it
+    builds no exact sum, let alone a reduced one."""
+    def build(*args, **kwargs):
+        raise AssertionError("gauss_pair called by the pi command")
+    monkeypatch.setattr(pi, "gauss_pair", build)
     record = run_json(capsys, "pi", "--method", "gauss", "-L", "8", "-M", "8",
                       "--digits", "60")
     assert record["matched_digits"] == "50"
@@ -123,6 +123,19 @@ class TestIntStrLimit:
                                  "-M", "4", "--digits", "5000")
         assert code == 0, err
         assert len(out.splitlines()[0]) == len("0.") + 5000
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_arctan_argument(self, capsys, read_rational, fmt):
+        x = "1/" + "1" + "0" * 4399
+        code, out, err = run_cli(capsys, "arctan", "--x", x, "-L", "1",
+                                 "-M", "0", "--digits", "20", "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            record = json.loads(out)
+            assert read_rational(record["x"]) == read_rational(x)
+            assert record["approx_decimal"] == "0." + "0" * 20
+        else:
+            assert out.splitlines()[0] == "0." + "0" * 20
 
     def test_deriv_value(self, capsys, read_rational):
         code, out, err = run_cli(capsys, "deriv", "-m", "2000", "--t", "1/3")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from arcpi.exact import (
     ComparisonError,
     decimal_expand,
+    decimal_to_int,
     exact_str,
     gaussian_pow,
     int_to_decimal,
@@ -42,6 +43,44 @@ class TestParseRational:
     def test_zero_denominator(self):
         with pytest.raises(ZeroDivisionError):
             parse_rational("1/0")
+
+    def test_past_the_int_str_limit(self):
+        r = parse_rational("-1" + "0" * 5000 + "/" + "3" * 4400)
+        assert r.numerator == -(10**5000)
+        assert int_to_decimal(r.denominator) == "3" * 4400
+
+
+class TestDecimalToInt:
+    """The inverse of ``int_to_decimal``, past python's str-to-int limit."""
+
+    @pytest.mark.parametrize(
+        "text", ["0", "7", "-0", "+12", "-256", "007", "4" * 256, "5" * 257])
+    def test_short_strings_match_int(self, text):
+        assert decimal_to_int(text) == int(text)
+
+    @pytest.mark.parametrize("k", [255, 256, 257, 512, 513, 4301, 30000])
+    def test_digit_patterns_past_the_limit(self, k):
+        assert decimal_to_int("1" + "0" * k) == 10**k
+        assert decimal_to_int("-" + "9" * k) == 1 - 10**k
+        assert decimal_to_int("0" * k + "5") == 5
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 30000), st.randoms(use_true_random=False),
+           st.booleans())
+    def test_round_trips_with_int_to_decimal(self, n_digits, rng, negative):
+        n = rng.randrange(10 ** (n_digits - 1), 10**n_digits)
+        n = -n if negative else n
+        text = int_to_decimal(n)
+        assert len(text.lstrip("-")) == n_digits
+        assert decimal_to_int(text) == n
+        assert int_to_decimal(decimal_to_int(text)) == text
+
+    @pytest.mark.parametrize(
+        "bad", ["", "+", "-", "--1", "+-1", "1_000", " 1", "1.5", "1e3",
+                "\u00b2"])
+    def test_rejects_non_decimal_text(self, bad):
+        with pytest.raises(ValueError):
+            decimal_to_int(bad)
 
 
 rationals = st.fractions(

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arcpi import pi
 from arcpi.errors import DomainError
@@ -11,6 +12,7 @@ from arcpi.pi import (
     GAUSS_TERMS,
     METHODS,
     arctan_taylor_reference,
+    gauss_expansion,
     gauss_pair,
     measure,
     pi_closed_form,
@@ -126,6 +128,72 @@ def test_gauss_opens_at_most_one_pool(monkeypatch, pool_sizes, cpus, workers,
     assert pool_sizes == want
 
 
+def _recording(fn, calls):
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestGaussExpansion:
+    """The certified digits of ``gauss_expansion`` against the expansion of
+    the exact pair."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
+    def test_matches_the_exact_pair(self, L, M, n):
+        p = P(L, M)
+        assert gauss_expansion(p, n) == decimal_expand(gauss_pair(p), n)
+
+    @pytest.mark.parametrize("size", [8, 16, 32, 46])
+    def test_golden_sizes_certify_without_the_pair(self, monkeypatch, size):
+        p = P(size, size)
+        exact = decimal_expand(gauss_pair(p), 400)
+        calls = []
+        monkeypatch.setattr(pi, "gauss_pair", _recording(gauss_pair, calls))
+        assert gauss_expansion(p, 400) == exact
+        assert calls == []
+
+    def test_no_guard_falls_back_to_the_pair(self, monkeypatch):
+        monkeypatch.setattr(pi, "_guard_digits", lambda terms: 0)
+        calls = []
+        monkeypatch.setattr(pi, "gauss_pair", _recording(gauss_pair, calls))
+        p = P(4, 6)
+        got = gauss_expansion(p, 50, workers=3)
+        assert calls == [(p,)]
+        assert got == decimal_expand(gauss_pair(p), 50)
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("M", range(6))
+    def test_one_guard_digit_still_gives_exact_digits(self, monkeypatch,
+                                                      L, M):
+        # a floor-error interval of width 9*L now often straddles a digit
+        # boundary: the bound must catch every such case
+        monkeypatch.setattr(pi, "_guard_digits", lambda terms: 1)
+        p = P(L, M)
+        exact = gauss_pair(p)
+        for n in (1, 5, 20, 50):
+            assert gauss_expansion(p, n) == decimal_expand(exact, n)
+
+    def test_exact_decimal_is_not_certified_as_truncated(self, monkeypatch):
+        # stub nodes making every floored term exact and the sum 7/4: the
+        # floors alone cannot tell 1.75 from a value just above it
+        mults = {recip: mult for mult, recip in GAUSS_TERMS}
+
+        def nodes(x, p, ells):
+            mult = mults[x.denominator]
+            return 1, [(1, 32 * abs(mult))]  # 8 * mult / (32 * |mult|)
+
+        calls = []
+        monkeypatch.setattr(pi, "closed_form_nodes", nodes)
+        monkeypatch.setattr(pi, "gauss_pair",
+                            _recording(lambda p, workers=None: (7, 4), calls))
+        got = gauss_expansion(P(1, 0), 5)
+        assert calls == [(P(1, 0),)]
+        assert got == decimal_expand(F(7, 4), 5)
+        assert not got.truncated
+
+
 class TestTaylorReference:
     def test_zero(self):
         assert arctan_taylor_reference(F(0), 10) == 0
@@ -178,7 +246,7 @@ class TestReference:
 class TestMeasure:
     def test_coarse_run(self):
         r = measure("eq17", P(1, 1), 10)
-        assert r.approx == F(16, 5)
+        assert r.expansion == decimal_expand(F(16, 5), 10)
         assert r.matched_digits == 1
         assert r.method == "eq17"
         assert r.elapsed_ms >= 0
@@ -188,11 +256,10 @@ class TestMeasure:
         assert r.matched_digits == 201
 
     @pytest.mark.parametrize("method", ["eq17", "gauss"])
-    def test_result_keeps_pair_and_graded_expansion(self, method):
+    def test_result_keeps_graded_expansion(self, method):
         p = P(4, 4)
         r = measure(method, p, 40)
         exact = pi_gauss(p) if method == "gauss" else pi_closed_form(p)
-        assert Fraction(*r.pair) == r.approx == exact
         assert r.expansion == decimal_expand(exact, 40)
         assert r.matched_digits == matching_digits(
             r.expansion, reference_pi(40))
@@ -218,7 +285,7 @@ class TestMeasure:
 
         for name, value in (("pi_closed_form", F(3)),
                             ("pi_derivative_form", F(3)),
-                            ("gauss_pair", (3, 1)),
+                            ("gauss_expansion", decimal_expand(F(3), 10)),
                             ("pi_machin", F(3))):
             monkeypatch.setattr(pi, name, recorder(name, value))
         with pytest.raises(DomainError):
