@@ -132,8 +132,13 @@ def _check_reference() -> tuple[bool, str]:
 
 def _check_parallel() -> tuple[bool, str]:
     """The pooled nine-term pair equals the serial one, numerator and
-    denominator, before any reduction."""
-    p = P(46, 46)
+    denominator, before any reduction.
+
+    Run at L = M = 8: the pool is what is under test here.  The L = M = 46
+    digit counts are pinned by criteria 2 and 8 and by the golden report
+    file.
+    """
+    p = P(8, 8)
     return gauss_pair(p, workers=4) == gauss_pair(p), ""
 
 

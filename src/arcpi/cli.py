@@ -268,6 +268,10 @@ def _bench_pi_ladder(args: argparse.Namespace) -> list[dict[str, str]]:
                 "L": str(size),
                 "M": str(size),
                 "matched_digits": str(result.matched_digits),
+                # all --digits fraction digits and the leading 3 agree: the
+                # count is the grading cap, not the method's accuracy
+                "capped": ("yes" if result.matched_digits == args.digits + 1
+                           else "no"),
                 "elapsed_ms": f"{elapsed:.3f}",
             })
     return rows

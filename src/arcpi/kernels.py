@@ -20,8 +20,10 @@ Gaussian-integer power, for every m >= 1:
         = (-1)^(m+1) (m-1)! q**m Im((p + i q)**m) / (p**2 + q**2)**m.
 
 The derivatives of 1/(1 + t**2) are the arctan derivatives one order up.
-No complex division happens anywhere: the power runs over integers and
-one Fraction is formed at the end.
+The formula is written once, in ``arctan_deriv_scaled`` (the derivatives
+of arctan(x*t)); ``arctan_deriv`` is its x = 1 case.  No complex division
+happens anywhere: the power runs over integers and one Fraction is formed
+at the end.
 """
 
 from __future__ import annotations
@@ -66,23 +68,29 @@ def arctan_deriv(m: int, t: Fraction) -> Fraction:
     / (p**2+q**2)**m with one Gaussian-integer power.  Order 0 is
     excluded: arctan itself is not a rational function.
     """
-    if m < 1:
-        raise OrderError("arctan derivatives need order >= 1")
-    p, q = t.numerator, t.denominator
-    _, im = gaussian_pow(p, q, m)
-    return Fraction((-1) ** (m + 1) * factorial(m - 1) * q**m * im,
-                    (p * p + q * q) ** m)
+    return arctan_deriv_scaled(m, Fraction(1), t)
 
 
 def arctan_deriv_scaled(m: int, x: Fraction, t: Fraction) -> Fraction:
     """m-th derivative of arctan(x*t) with respect to t, for m >= 1.
 
-    By the chain rule this is x**m times the plain arctan derivative at
-    x*t.
+    By the chain rule this is x**m arctan^(m)(x*t).  The arctan formula
+    is homogeneous of degree 0 in (p, q), so x*t = p/q need not be in
+    lowest terms: for x = a/b and t = c/d take p = a*c and q = b*d, and
+    x**m q**m collapses to (a*d)**m.  The value
+
+        (-1)**(m+1) (m-1)! (a*d)**m Im((p+iq)**m) / (p**2+q**2)**m
+
+    is built from ints and reduced once, as a single ``Fraction``.
     """
     if m < 1:
         raise OrderError("arctan derivatives need order >= 1")
-    return x**m * arctan_deriv(m, x * t)
+    a, b = x.numerator, x.denominator
+    c, d = t.numerator, t.denominator
+    p, q = a * c, b * d
+    _, im = gaussian_pow(p, q, m)
+    return Fraction((-1) ** (m + 1) * factorial(m - 1) * (a * d) ** m * im,
+                    (p * p + q * q) ** m)
 
 
 def arctan_deriv_sine_form(m: int, t: float) -> float:

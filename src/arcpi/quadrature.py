@@ -13,23 +13,25 @@ be recast over even orders only, with m running to floor(M/2) + 1:
 Both forms are finite truncations, exact over rationals, and agree term by
 term; integrands are supplied as derivative oracles returning exact values.
 
-Accumulation order: each node's weighted terms are added into one
-``Fraction`` of their own, node by node, and the L node sums are then
-combined pairwise (``exact.pairwise_sum``).  Every ``Fraction +`` reduces
-by a gcd; against one running total that gcd grows with the whole sum on
-every one of the L * (M//2 + 1) terms.  The terms of one node share most
-of their denominator, so the per-node sums stay small and cheap to reduce,
-and the pairwise tree adds operands of similar size.  Exact addition is
-associative, so the result is the same reduced rational as a sequential
-sum; the oracle is called once per (node, order), node by node and in
-increasing order within a node.
+Accumulation order: each node's weighted terms are summed in plain ints.
+The weights become (order, numerator, denominator) triples once, and each
+term w * f(order, node) joins the node's unreduced (num, den) by an lcm
+add: with g = gcd(den, td), num = num*(td/g) + tn*(den/g) and
+den = den*(td/g).  That is one gcd per term and no ``Fraction`` until the
+node is done, where one ``Fraction`` reduces the node sum (a ``Fraction``
+product and sum per term would cost several gcds each).  The L node sums
+are then combined pairwise (``exact.pairwise_sum``), whose tree adds
+operands of similar size.  Exact addition is associative, so the result
+is the same reduced rational as a sequential sum; the oracle is called
+once per (node, order), node by node and in increasing order within a
+node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 from typing import Callable
 
 from .exact import pairwise_sum
@@ -105,13 +107,20 @@ def _corrected_midpoint(
     weights: list[tuple[int, Fraction]],
 ) -> Fraction:
     """sum over l = 1..L of sum over (order, w) of w * f(order, node_l),
-    reduced within each node, then added pairwise across nodes."""
+    summed in ints within each node, then added pairwise across nodes."""
+    int_weights = [(order, w.numerator, w.denominator)
+                   for order, w in weights]
     node_sums = []
     for node in midpoint_nodes(p.L):
-        node_sum = Fraction(0)
-        for order, w in weights:
-            node_sum += w * f(order, node)
-        node_sums.append(node_sum)
+        num, den = 0, 1
+        for order, wn, wd in int_weights:
+            value = f(order, node)
+            if wn:  # odd orders of the all-order form weigh 0
+                tn, td = wn * value.numerator, wd * value.denominator
+                g = gcd(den, td)
+                num = num * (td // g) + tn * (den // g)
+                den *= td // g
+        node_sums.append(Fraction(num, den))
     return pairwise_sum(node_sums)
 
 

@@ -288,6 +288,8 @@ class TestBenchCommand:
         lines = out.splitlines()
         assert lines[0].split()[:2] == ["method", "L"]
         assert len(lines) == 1 + 2 * 3  # header, two sizes, three methods
+        column = lines[0].split().index("capped")
+        assert [line.split()[column] for line in lines[1:]] == ["no"] * 6
 
     def test_ladder_json_records(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--suite", "pi-ladder",
@@ -298,7 +300,19 @@ class TestBenchCommand:
         assert [r["method"] for r in records] == ["eq17", "eq18", "gauss"]
         for r in records:
             assert set(r) == {"method", "L", "M", "matched_digits",
-                              "elapsed_ms"}
+                              "capped", "elapsed_ms"}
+            assert r["capped"] == "no"
+
+    def test_ladder_flags_rows_at_the_digit_cap(self, capsys):
+        """At L = M = 100 every method agrees past 50 digits, so each row
+        reads the 51-digit cap (50 fraction digits and the 3)."""
+        code, out, _ = run_cli(capsys, "bench", "--suite", "pi-ladder",
+                               "--sizes", "100", "--digits", "50",
+                               "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["matched_digits"], r["capped"]) for r in records] == \
+            [("51", "yes")] * 3
 
     def test_deriv_paths(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--suite", "deriv-paths",

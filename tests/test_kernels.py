@@ -20,6 +20,12 @@ F = Fraction
 ONE_PLUS = RationalFunction.one_over_one_plus_square()
 ONE_MINUS = RationalFunction.one_over_one_minus_square()
 
+# signed rationals, with 0 drawn often: it zeroes x**m or the argument x*t
+signed_rationals = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=60),
+)
+
 
 class TestEvenKernel:
     """d^m/du^m of 1/(1 - u**2)."""
@@ -100,6 +106,13 @@ class TestScaledVariant:
     def test_unit_scale_reduces(self, m):
         t = F(3, 7)
         assert arctan_deriv_scaled(m, F(1), t) == arctan_deriv(m, t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=15), signed_rationals,
+           signed_rationals)
+    def test_chain_rule_against_quotient_rule_oracle(self, m, x, t):
+        assert arctan_deriv_scaled(m, x, t) == \
+            x**m * oracle_derivative(m - 1, ONE_PLUS, x * t)
 
     def test_chain_rule_against_shifted_kernel(self):
         x, t = F(2, 3), F(1, 4)

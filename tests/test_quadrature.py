@@ -139,7 +139,7 @@ class TestIntegrationError:
 
 # --- accumulation order ---------------------------------------------------
 #
-# The rules reduce within each node and add the node sums pairwise; these
+# The rules sum each node in ints and add the node sums pairwise; these
 # references add every weighted term to one running total, node by node,
 # with the weights written out from the rule's formulas.
 
@@ -169,10 +169,17 @@ def arctan_integrand(x):
     return f
 
 
+def non_dividing_denominators(m, t):
+    """An oracle whose term denominators 3**m + 7 do not divide one
+    another, so each int node sum takes a partial gcd in its lcm add."""
+    return F(1, 3**m + 7) * t**m
+
+
 oracles = st.one_of(
     st.integers(min_value=0, max_value=10).map(monomial_oracle),
     st.fractions(min_value=-20, max_value=20, max_denominator=60)
     .map(arctan_integrand),
+    st.just(non_dividing_denominators),
 )
 sizes = st.integers(min_value=1, max_value=8)
 
@@ -182,6 +189,12 @@ sizes = st.integers(min_value=1, max_value=8)
 def test_rules_equal_sequential_sum(f, L, M):
     p = ComputationParams(L, M)
     assert integrate_all_orders(f, p) == sequential_all_orders(f, p)
+    assert integrate_even_orders(f, p) == sequential_even_orders(f, p)
+
+
+def test_even_rule_equals_sequential_sum_at_dual_route_size():
+    f = arctan_integrand(F(-139, 10567))
+    p = ComputationParams(32, 32)
     assert integrate_even_orders(f, p) == sequential_even_orders(f, p)
 
 
