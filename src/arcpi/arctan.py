@@ -21,14 +21,16 @@ that equality is the library's central invariant.
 Accumulation in the closed form runs in plain ints.  With
 K = floor(M/2) + 1 inner terms, each node's sum is put over the common
 denominator lcm(1, 3, ..., 2K-1) * norm**(2K-1) and its numerator built by
-Horner's rule in norm**2.  The node (numerator, norm**(2K-1)) pairs are
-added by a pairwise tree without any gcd (``exact.pair_sum``), and
-``closed_form_pair`` returns the sum unreduced.  A ``Fraction +`` per term
-would instead run one gcd per term against an ever larger running total.
-``closed_form_block`` and ``arctan_closed_form`` reduce once per call.
-``closed_form_nodes`` hands out the per-node pairs before any addition;
-``arcpi pi --method gauss`` floors each of them at a scaled precision
-and builds neither the sum nor its reduction (``pi.gauss_expansion``).
+Horner's rule in norm**2 (``closed_form_nodes``).  ``closed_form_block``
+adds the node pairs by a pairwise tree without any gcd (``exact.pair_sum``)
+and reduces once; a ``Fraction +`` per term would instead run one gcd per
+term against an ever larger running total.  ``arcpi pi --method gauss``
+floors each node pair at a scaled precision and builds neither the sum nor
+its reduction (``pi.gauss_expansion``).
+
+Neither route needs a case for x = 0: there every Gaussian integer is
+still nonzero (w = 2iL*den), and each term carries a factor num**(2m-1)
+or (num*d)**m (``kernels.arctan_deriv_scaled``), so both sums are exactly 0.
 """
 
 from __future__ import annotations
@@ -76,34 +78,20 @@ def closed_form_nodes(
     return odd_lcm, node_sums
 
 
-def closed_form_pair(
-    x: Fraction, p: ComputationParams, ells: Sequence[int]
-) -> tuple[int, int]:
-    """Partial closed-form sum over the given outer indices, as an
-    unreduced ``(numerator, denominator)`` pair with a positive denominator.
-
-    The sum over l in ``ells`` and m = 1..K of
-    2 num**(2m-1) Im(w**(2m-1)) / ((2m-1) norm**(2m-1)): the node sums of
-    ``closed_form_nodes`` added by ``exact.pair_sum``.  No gcd is taken.
-    """
-    if x == 0:
-        return 0, 1
-    odd_lcm, node_sums = closed_form_nodes(x, p, ells)
-    total, denom = pair_sum(node_sums)
-    return 2 * total, odd_lcm * denom
-
-
 def closed_form_block(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
 ) -> Fraction:
-    """``closed_form_pair`` as a ``Fraction``: one reduction per block."""
-    return Fraction(*closed_form_pair(x, p, ells))
+    """Partial closed-form sum over the given outer indices: the node sums
+    of ``closed_form_nodes``, added by ``exact.pair_sum`` with no gcd and
+    reduced once."""
+    odd_lcm, node_sums = closed_form_nodes(x, p, ells)
+    total, denom = pair_sum(node_sums)
+    return Fraction(2 * total, odd_lcm * denom)
 
 
 def arctan_closed_form(x: Fraction, p: ComputationParams) -> Fraction:
     """Truncated arctangent sum via Gaussian-integer powers: the block of
-    all L nodes, reduced once.  x = 0 gives exact 0 (the node terms 2iL/x
-    are undefined there, and arctan(0) = 0)."""
+    all L nodes, reduced once."""
     return closed_form_block(x, p, range(1, p.L + 1))
 
 
@@ -114,9 +102,6 @@ def arctan_derivative_form(x: Fraction, p: ComputationParams) -> Fraction:
     t-derivative of arctan(x*t), its m-th derivative at a node is the
     (m+1)-th scaled arctangent derivative, so no symbolic engine is needed.
     """
-    if x == 0:
-        return Fraction(0)
-
     def integrand_deriv(m: int, t: Fraction) -> Fraction:
         return arctan_deriv_scaled(m + 1, x, t)
 

@@ -52,6 +52,7 @@ from .quadrature import (
     ComputationParams,
     integrate_all_orders,
     integrate_even_orders,
+    midpoint_nodes,
     monomial_oracle,
 )
 
@@ -137,20 +138,16 @@ def _run_arctan(args: argparse.Namespace) -> int:
     value = arctan_closed_form(args.x, params)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
 
+    expansion = decimal_expand(value, args.digits)
+    exact = exact_str(value) if args.exact else None
+    approx = str(expansion) if value else "0"
     matched: int | None = None
     if 0 < abs(args.x) < 1:
         reference = arctan_taylor_reference(args.x, args.digits)
-        matched = matching_digits(decimal_expand(value, args.digits),
+        matched = matching_digits(expansion,
                                   decimal_expand(reference, args.digits))
 
-    if value == 0:
-        shown = "0"
-    elif args.exact:
-        shown = exact_str(value)
-    else:
-        shown = str(decimal_expand(value, args.digits))
-
-    lines = [shown]
+    lines = [exact or approx]
     if matched is not None:
         lines.append(f"matched digits vs series reference: {matched}")
     _emit(args, {
@@ -158,9 +155,8 @@ def _run_arctan(args: argparse.Namespace) -> int:
         "L": str(args.L),
         "M": str(args.M),
         "digits_requested": str(args.digits),
-        "exact": exact_str(value) if args.exact else None,
-        "approx_decimal": str(decimal_expand(value, args.digits))
-        if value else "0",
+        "exact": exact,
+        "approx_decimal": approx,
         "matched_digits": None if matched is None else str(matched),
         "elapsed_ms": f"{elapsed_ms:.3f}",
     }, lines)
@@ -190,7 +186,7 @@ def _run_deriv(args: argparse.Namespace) -> int:
     value = _deriv_value(args.formula, args.m, args.t)
     record: dict[str, object] = {
         "m": str(args.m),
-        "t": str(args.t),
+        "t": exact_str(args.t),
         "formula": args.formula,
         "value": _shown(value),
     }
@@ -287,8 +283,7 @@ def _bench_deriv_paths(args: argparse.Namespace) -> list[dict[str, str]]:
     from .oracle import RationalFunction
     size = args.sizes[-1]
     params = ComputationParams(size, size)
-    nodes = [Fraction(2 * ell - 1, 2 * params.L)
-             for ell in range(1, params.L + 1)]
+    nodes = midpoint_nodes(params.L)
 
     def closed() -> list[Fraction]:
         return [deriv_inv_one_plus_t2(m, t)

@@ -3,18 +3,19 @@
 Three exact evaluators share the truncation parameters (L, M):
 
 * ``pi_closed_form``   -- 4 * arctan(1) via the Gaussian-integer sum.
-* ``pi_derivative_form`` -- the corrected midpoint rule applied to
-  4/(1 + t**2), with the integrand derivatives in closed form.
+* ``pi_derivative_form`` -- 4 * arctan(1) via the corrected midpoint rule,
+  that is the rule applied to 4/(1 + t**2).
 * ``pi_gauss``         -- the nine-term Gauss arctangent combination,
   every term evaluated with the closed-form sum.  Small arguments make
   the truncation far more accurate at equal (L, M).
 
-``measure`` grades a ``DecimalExpansion``.  For ``gauss`` it comes from
-``gauss_expansion``, which floors each exact node term at a scaled
-precision and certifies the digits from the floor errors; the exact sum
-(``gauss_pair``, an unreduced ``(num, den)`` pair of ~860 kbit at
-L = M = 46) is built only when that certificate cannot decide.  The
-public ``pi_*`` evaluators return reduced ``Fraction``s.
+The Gauss value is stated once, as a list of 9 * L exact node fractions
+(``_gauss_nodes``).  ``measure`` grades a ``DecimalExpansion``.  For
+``gauss`` it comes from ``gauss_expansion``, which floors each node at a
+scaled precision and certifies the digits from the floor errors; the
+exact sum of the nodes (``gauss_pair``, an unreduced ``(num, den)`` pair
+of ~860 kbit at L = M = 46) is built only when that certificate cannot
+decide.  The public ``pi_*`` evaluators return reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
 published 1000-digit constant, and an independent Machin-formula
@@ -32,7 +33,11 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-from .arctan import arctan_closed_form, closed_form_nodes, closed_form_pair
+from .arctan import (
+    arctan_closed_form,
+    arctan_derivative_form,
+    closed_form_nodes,
+)
 from .errors import DomainError, ReferenceIntegrityError
 from .exact import (
     DecimalExpansion,
@@ -40,8 +45,7 @@ from .exact import (
     matching_digits,
     pair_sum,
 )
-from .kernels import deriv_inv_one_plus_t2
-from .quadrature import ComputationParams, integrate_even_orders
+from .quadrature import ComputationParams
 
 # Nine-term Gauss decomposition: pi = 4 * sum of multiplier * arctan(1/recip).
 # The multiplier list is pinned by test_acceptance: the sum must stay exact to
@@ -81,42 +85,46 @@ def pi_closed_form(p: ComputationParams) -> Fraction:
 
 
 def pi_derivative_form(p: ComputationParams) -> Fraction:
-    """Corrected midpoint rule on 4/(1 + t**2) over [0, 1].
-
-    The expansion coefficients are the derivatives of 1/(1 + t**2) at the
-    midpoint nodes, evaluated in closed form.  Exactly equal to
-    ``pi_closed_form`` for every (L, M).
-    """
-    return 4 * integrate_even_orders(deriv_inv_one_plus_t2, p)
+    """4 * arctan(1), arctangent taken as the corrected midpoint rule.
+    Exactly equal to ``pi_closed_form`` for every (L, M)."""
+    return 4 * arctan_derivative_form(Fraction(1), p)
 
 
-def _gauss_term_pair(
+def _gauss_term_nodes(
     mult: int, recip: int, p: ComputationParams
-) -> tuple[int, int]:
-    num, den = closed_form_pair(Fraction(1, recip), p, range(1, p.L + 1))
-    return mult * num, den
+) -> list[tuple[int, int]]:
+    """The L nodes of 4 * mult * arctan_closed_form(1/recip, p), as
+    unreduced (num, den) pairs with positive denominators."""
+    odd_lcm, nodes = closed_form_nodes(
+        Fraction(1, recip), p, range(1, p.L + 1))
+    return [(8 * mult * acc, odd_lcm * norm_pow) for acc, norm_pow in nodes]
 
 
-def gauss_pair(
+def _gauss_nodes(
     p: ComputationParams, workers: int | None = None
-) -> tuple[int, int]:
-    """``pi_gauss`` as an unreduced ``(num, den)`` pair, with no gcd.
+) -> list[tuple[int, int]]:
+    """The 9 * L node fractions whose sum is ``pi_gauss(p)``.
 
-    Each of the nine terms is an unreduced closed-form pair; the terms are
-    added pairwise (``exact.pair_sum``).  ``workers`` > 1 maps the nine
-    terms over one pool of min(workers, 9, os.cpu_count()) processes; the
-    result is the same pair as the serial one.
+    ``workers`` > 1 maps the nine terms over one pool of
+    min(workers, 9, os.cpu_count()) processes; the list is the same.
     """
     tasks = [(mult, recip, p) for mult, recip in GAUSS_TERMS]
     processes = min(workers or 1, len(tasks), os.cpu_count() or 1)
     if processes > 1:
         import multiprocessing  # here, so `import arcpi.cli` skips it
         with multiprocessing.Pool(processes) as pool:
-            terms = pool.starmap(_gauss_term_pair, tasks)
+            terms = pool.starmap(_gauss_term_nodes, tasks)
     else:
-        terms = [_gauss_term_pair(*t) for t in tasks]
-    num, den = pair_sum(terms)
-    return 4 * num, den
+        terms = [_gauss_term_nodes(*t) for t in tasks]
+    return [node for term in terms for node in term]
+
+
+def gauss_pair(
+    p: ComputationParams, workers: int | None = None
+) -> tuple[int, int]:
+    """``pi_gauss`` as an unreduced ``(num, den)`` pair, with no gcd: the
+    nodes of ``_gauss_nodes`` added pairwise (``exact.pair_sum``)."""
+    return pair_sum(_gauss_nodes(p, workers))
 
 
 def _guard_digits(terms: int) -> int:
@@ -131,16 +139,13 @@ def gauss_expansion(
     """``decimal_expand(gauss_pair(p, workers), n_digits)``, certified from
     exact per-node floors so that the pair is rarely built.
 
-    Value: with (odd_lcm, nodes) = ``closed_form_nodes(1/recip, p, 1..L)``,
-    each closed-form pair is 2 * sum(acc / norm**E) / odd_lcm over its
-    nodes, so v = pi_gauss(p) is the sum over the nine (mult, recip) terms
-    and their L nodes of 8 * mult * acc / (odd_lcm * norm**E): n = 9 * L
-    fractions, every denominator positive.
+    Value: v = pi_gauss(p) is the sum of the n = 9 * L node fractions
+    num / den of ``_gauss_nodes``, every denominator positive.
 
     Bound: let s = 10**(n_digits + g) and S the sum of the n floors
-    (8 * mult * acc * s) // (odd_lcm * norm**E).  A floor with a positive
-    denominator errs by a fraction in [0, 1), so S <= v * s < S + n.  The
-    wanted digits are D = floor(v * 10**n_digits) = floor(v * s / 10**g).
+    (num * s) // den.  A floor with a positive denominator errs by a
+    fraction in [0, 1), so S <= v * s < S + n.  The wanted digits are
+    D = floor(v * 10**n_digits) = floor(v * s / 10**g).
     From S <= v * s, D >= S // 10**g.  From v * s < S + n, an integer,
     D <= (S + n - 1) // 10**g.  When the two ends agree, D is exact.  When
     moreover S % 10**g != 0, then v * s >= S > D * 10**g, so v * 10**n_digits
@@ -154,18 +159,12 @@ def gauss_expansion(
     interval of width n straddles a multiple of 10**g with a chance under
     1e-10.
     """
-    terms = len(GAUSS_TERMS) * p.L
-    guard = 10 ** _guard_digits(terms)
+    nodes = _gauss_nodes(p)
+    guard = 10 ** _guard_digits(len(nodes))
     scale = 10**n_digits * guard
-    total = 0
-    for mult, recip in GAUSS_TERMS:
-        odd_lcm, nodes = closed_form_nodes(
-            Fraction(1, recip), p, range(1, p.L + 1))
-        weight = 8 * mult * scale
-        total += sum(weight * acc // (odd_lcm * norm_pow)
-                     for acc, norm_pow in nodes)
+    total = sum(num * scale // den for num, den in nodes)
     if (total >= 0 and total % guard
-            and total // guard == (total + terms - 1) // guard):
+            and total // guard == (total + len(nodes) - 1) // guard):
         return decimal_expand((total, scale), n_digits)
     return decimal_expand(gauss_pair(p, workers=workers), n_digits)
 

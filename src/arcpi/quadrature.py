@@ -12,11 +12,13 @@ be recast over even orders only, with m running to floor(M/2) + 1:
 
 Both forms are finite truncations, exact over rationals, and agree term by
 term; integrands are supplied as derivative oracles returning exact values.
+One weight table serves both: (m, numerator, denominator) int triples in
+lowest terms for m = 0..M, of which the even-order form keeps the rows
+with a nonzero numerator.
 
 Accumulation order: each node's weighted terms are summed in plain ints.
-The weights become (order, numerator, denominator) triples once, and each
-term w * f(order, node) joins the node's unreduced (num, den) by an lcm
-add: with g = gcd(den, td), num = num*(td/g) + tn*(den/g) and
+Each term w * f(order, node) joins the node's unreduced (num, den) by an
+lcm add: with g = gcd(den, td), num = num*(td/g) + tn*(den/g) and
 den = den*(td/g).  That is one gcd per term and no ``Fraction`` until the
 node is done, where one ``Fraction`` reduces the node sum (a ``Fraction``
 product and sum per term would cost several gcds each).  The L node sums
@@ -77,43 +79,31 @@ def monomial_oracle(degree: int) -> DerivativeOracle:
     return f
 
 
-def _all_order_weights(p: ComputationParams) -> list[tuple[int, Fraction]]:
+def _weights(p: ComputationParams) -> list[tuple[int, int, int]]:
+    """The all-order weights ((-1)**m + 1) / ((2L)**(m+1) (m+1)!) as
+    (m, numerator, denominator) int triples in lowest terms, m = 0..M:
+    (m, 1, (2L)**(m+1) (m+1)! / 2) for even m and (m, 0, 1) for odd m."""
     two_l = 2 * p.L
     weights = []
     denom = 1
     for m in range(p.M + 1):
         denom *= two_l * (m + 1)  # (2L)**(m+1) * (m+1)!
-        weights.append((m, Fraction((-1) ** m + 1, denom)))
-    return weights
-
-
-def _even_order_weights(p: ComputationParams) -> list[tuple[int, Fraction]]:
-    two_l = 2 * p.L
-    weights = []
-    denom = 1
-    for m in range(1, p.inner_terms + 1):
-        if m == 1:
-            denom = two_l
-        else:
-            denom *= two_l * two_l * (2 * m - 1) * (2 * m - 2)
-        # 2 / ((2L)**(2m-1) (2m-1)!) on order 2m-2
-        weights.append((2 * m - 2, Fraction(2, denom)))
+        weights.append((m, 1, denom // 2) if m % 2 == 0 else (m, 0, 1))
     return weights
 
 
 def _corrected_midpoint(
     f: DerivativeOracle,
     p: ComputationParams,
-    weights: list[tuple[int, Fraction]],
+    weights: list[tuple[int, int, int]],
 ) -> Fraction:
-    """sum over l = 1..L of sum over (order, w) of w * f(order, node_l),
-    summed in ints within each node, then added pairwise across nodes."""
-    int_weights = [(order, w.numerator, w.denominator)
-                   for order, w in weights]
+    """sum over l = 1..L of sum over (order, wn, wd) of
+    wn/wd * f(order, node_l), summed in ints within each node, then added
+    pairwise across nodes."""
     node_sums = []
     for node in midpoint_nodes(p.L):
         num, den = 0, 1
-        for order, wn, wd in int_weights:
+        for order, wn, wd in weights:
             value = f(order, node)
             if wn:  # odd orders of the all-order form weigh 0
                 tn, td = wn * value.numerator, wd * value.denominator
@@ -132,7 +122,7 @@ def integrate_all_orders(
     Odd orders are evaluated and weighted by their (zero) coefficient, so
     the oracle must be defined for them too.
     """
-    return _corrected_midpoint(f, p, _all_order_weights(p))
+    return _corrected_midpoint(f, p, _weights(p))
 
 
 def integrate_even_orders(
@@ -143,4 +133,5 @@ def integrate_even_orders(
     Queries f at orders 0, 2, ..., 2*floor(M/2); equal to
     ``integrate_all_orders`` on every input.
     """
-    return _corrected_midpoint(f, p, _even_order_weights(p))
+    return _corrected_midpoint(
+        f, p, [row for row in _weights(p) if row[1]])

@@ -137,6 +137,20 @@ class TestIntStrLimit:
         else:
             assert out.splitlines()[0] == "0." + "0" * 20
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_deriv_argument(self, capsys, read_rational, fmt):
+        t = "1/" + "1" + "0" * 4401
+        code, out, err = run_cli(capsys, "deriv", "-m", "1", "--t", t,
+                                 "--format", fmt)
+        assert code == 0, err
+        want = arctan_deriv(1, read_rational(t))
+        if fmt == "json":
+            record = json.loads(out)
+            assert read_rational(record["t"]) == read_rational(t)
+            assert read_rational(record["value"]) == want
+        else:
+            assert read_rational(out.splitlines()[0]) == want
+
     def test_deriv_value(self, capsys, read_rational):
         code, out, err = run_cli(capsys, "deriv", "-m", "2000", "--t", "1/3")
         assert code == 0, err
