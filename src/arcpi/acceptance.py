@@ -20,6 +20,7 @@ from .kernels import (
     arctan_deriv_sine_form,
     deriv_inv_one_minus_u2,
     deriv_inv_one_plus_t2,
+    inv_one_plus_t2_derivs,
 )
 from .oracle import RationalFunction, oracle_derivative
 from .pi import (
@@ -103,7 +104,7 @@ def _check_sine_form() -> tuple[bool, str]:
 
 
 def _check_quadrature() -> tuple[bool, str]:
-    kernel = deriv_inv_one_plus_t2
+    kernel = inv_one_plus_t2_derivs
     cubic = monomial_oracle(3)
     rules_ok = all(
         integrate_all_orders(f, P(L, M)) == integrate_even_orders(f, P(L, M))
@@ -114,7 +115,7 @@ def _check_quadrature() -> tuple[bool, str]:
         for rule in (integrate_all_orders, integrate_even_orders))
     midpoint_ok = all(
         integrate_even_orders(f, P(L, M))
-        == sum(f(0, t) for t in midpoint_nodes(L)) / L
+        == sum(F(*v) for t in midpoint_nodes(L) for v in f(t, [0])) / L
         for f in (kernel, cubic) for L in (1, 4) for M in (0, 1))
     return rules_ok and poly_ok and midpoint_ok, ""
 

@@ -18,19 +18,16 @@ derivative orders up to M, but by unrelated routes:
 The two routes agree exactly, rational to rational, for every x, L, M;
 that equality is the library's central invariant.
 
-Accumulation in the closed form runs in plain ints.  With
-K = floor(M/2) + 1 inner terms, each node's sum is put over the common
-denominator lcm(1, 3, ..., 2K-1) * norm**(2K-1) and its numerator built by
-Horner's rule in norm**2 (``closed_form_nodes``).  ``closed_form_block``
-adds the node pairs by a pairwise tree without any gcd (``exact.pair_sum``)
-and reduces once; a ``Fraction +`` per term would instead run one gcd per
-term against an ever larger running total.  ``arcpi pi --method gauss``
-floors each node pair at a scaled precision and builds neither the sum nor
-its reduction (``pi.gauss_expansion``).
+Both accumulate in plain ints and reduce late.  The closed form puts each
+node over one common denominator and builds its numerator by Horner's
+rule (``closed_form_nodes``), then adds the nodes with no gcd
+(``exact.pair_sum``).  The derivative form asks each node once for all its
+orders, and ``kernels.arctan_derivs_scaled`` streams them as unreduced
+int pairs, which the rule adds per node by an lcm add (``arcpi.quadrature``).
 
 Neither route needs a case for x = 0: there every Gaussian integer is
 still nonzero (w = 2iL*den), and each term carries a factor num**(2m-1)
-or (num*d)**m (``kernels.arctan_deriv_scaled``), so both sums are exactly 0.
+or (num*d)**m (``kernels.arctan_derivs_scaled``), so both sums are exactly 0.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .exact import gaussian_pow, pair_sum
-from .kernels import arctan_deriv_scaled
+from .kernels import arctan_derivs_scaled
 from .quadrature import ComputationParams, integrate_even_orders
 
 
@@ -96,13 +93,9 @@ def arctan_closed_form(x: Fraction, p: ComputationParams) -> Fraction:
 
 
 def arctan_derivative_form(x: Fraction, p: ComputationParams) -> Fraction:
-    """Truncated arctangent sum via the corrected midpoint rule.
-
-    Integrates x/(1 + x**2 t**2) over [0, 1]; since that integrand is the
-    t-derivative of arctan(x*t), its m-th derivative at a node is the
-    (m+1)-th scaled arctangent derivative, so no symbolic engine is needed.
-    """
-    def integrand_deriv(m: int, t: Fraction) -> Fraction:
-        return arctan_deriv_scaled(m + 1, x, t)
-
-    return integrate_even_orders(integrand_deriv, p)
+    """Truncated arctangent sum via the corrected midpoint rule on
+    x/(1 + x**2 t**2), whose m-th derivative is the (m+1)-th derivative of
+    arctan(x*t): no symbolic engine is needed."""
+    return integrate_even_orders(
+        lambda t, orders: arctan_derivs_scaled(x, t, [m + 1 for m in orders]),
+        p)

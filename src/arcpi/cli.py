@@ -45,7 +45,7 @@ from .exact import decimal_expand, exact_str, matching_digits, parse_rational
 from .kernels import (
     arctan_deriv,
     arctan_deriv_sine_form,
-    deriv_inv_one_plus_t2,
+    inv_one_plus_t2_derivs,
 )
 from .pi import METHODS, arctan_taylor_reference, measure
 from .quadrature import (
@@ -209,7 +209,7 @@ def _run_deriv(args: argparse.Namespace) -> int:
 def _run_quad(args: argparse.Namespace) -> int:
     params = ComputationParams(args.L, args.M)
     if args.integrand == "kernel":
-        f = deriv_inv_one_plus_t2
+        f = inv_one_plus_t2_derivs
         label = "1/(1+t^2)"
         truth = None
     else:
@@ -276,41 +276,32 @@ def _bench_pi_ladder(args: argparse.Namespace) -> list[dict[str, str]]:
 def _bench_deriv_paths(args: argparse.Namespace) -> list[dict[str, str]]:
     """Closed-form kernel derivatives vs the quotient-rule oracle.
 
-    Both paths produce every g(l, m) = (d/dt)^m 1/(1+t^2) at the midpoint
-    nodes; the values must be identical (ReferenceIntegrityError
-    otherwise), only the clock differs.
+    Both paths produce every g(l, m) = (d/dt)^m 1/(1+t^2), m = 0..M, at the
+    midpoint nodes: ``eq5`` as the quadrature's node stream of unreduced
+    pairs, the oracle as ``Fraction``s.  The values must be identical
+    (ReferenceIntegrityError otherwise), only the clock differs.
     """
     from .oracle import RationalFunction
-    size = args.sizes[-1]
-    params = ComputationParams(size, size)
+    params = ComputationParams(args.sizes[-1], args.sizes[-1])
     nodes = midpoint_nodes(params.L)
+    orders = range(params.M + 1)
 
-    def closed() -> list[Fraction]:
-        return [deriv_inv_one_plus_t2(m, t)
-                for m in range(params.M + 1) for t in nodes]
+    def closed() -> list[list[tuple[int, int]]]:
+        return [list(inv_one_plus_t2_derivs(t, orders)) for t in nodes]
 
-    def oracle() -> list[Fraction]:
-        out = []
-        f = RationalFunction.one_over_one_plus_square()
-        for m in range(params.M + 1):
-            if m:
-                f = f.derivative()
-            out.extend(f.evaluate(t) for t in nodes)
-        return out
+    def oracle() -> list[list[Fraction]]:
+        fs = [RationalFunction.one_over_one_plus_square()]
+        for _ in orders[1:]:
+            fs.append(fs[-1].derivative())
+        return [[f.evaluate(t) for f in fs] for t in nodes]
 
-    if closed() != oracle():
+    if [[Fraction(*v) for v in row] for row in closed()] != oracle():
         raise ReferenceIntegrityError(
             "closed-form and quotient-rule derivatives disagree "
             "(arithmetic bug)")
-    rows = []
-    for name, fn in (("eq5", closed), ("oracle", oracle)):
-        rows.append({
-            "method": name,
-            "L": str(params.L),
-            "M": str(params.M),
-            "elapsed_ms": f"{_median_ms(fn, args.repetitions):.3f}",
-        })
-    return rows
+    return [{"method": name, "L": str(params.L), "M": str(params.M),
+             "elapsed_ms": f"{_median_ms(fn, args.repetitions):.3f}"}
+            for name, fn in (("eq5", closed), ("oracle", oracle))]
 
 
 def _run_bench(args: argparse.Namespace) -> int:

@@ -20,10 +20,10 @@ Gaussian-integer power, for every m >= 1:
         = (-1)^(m+1) (m-1)! q**m Im((p + i q)**m) / (p**2 + q**2)**m.
 
 The derivatives of 1/(1 + t**2) are the arctan derivatives one order up.
-The formula is written once, in ``arctan_deriv_scaled`` (the derivatives
-of arctan(x*t)); ``arctan_deriv`` is its x = 1 case.  No complex division
-happens anywhere: the power runs over integers and one Fraction is formed
-at the end.
+The formula is written once, in ``arctan_derivs_scaled``, which streams
+the derivatives of arctan(x*t) at one t over increasing orders as
+unreduced (num, den) int pairs: the quadrature's derivative oracle shape.
+The one-order ``Fraction`` evaluators are views of it.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import factorial
+from typing import Iterable, Iterator
 
 from .errors import OrderError, PoleError
 from .exact import gaussian_pow
@@ -51,46 +52,65 @@ def deriv_inv_one_minus_u2(m: int, u: Fraction) -> Fraction:
 
 
 def deriv_inv_one_plus_t2(m: int, t: Fraction) -> Fraction:
-    """m-th derivative of 1/(1 + t**2) at t, for m >= 0.
-
-    1/(1 + t**2) is the derivative of arctan, so this is the (m+1)-th
-    arctan derivative.
-    """
-    if m < 0:
-        raise OrderError("derivative order must be >= 0")
+    """m-th derivative of 1/(1 + t**2) at t, for m >= 0: the (m+1)-th
+    arctan derivative."""
     return arctan_deriv(m + 1, t)
 
 
-def arctan_deriv(m: int, t: Fraction) -> Fraction:
-    """m-th derivative of arctan at t, for m >= 1.
+def inv_one_plus_t2_derivs(
+    t: Fraction, orders: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """The derivatives of 1/(1 + t**2) at t for increasing orders >= 0, as
+    a quadrature derivative oracle: the arctan pairs one order up."""
+    return arctan_derivs_scaled(Fraction(1), t, [m + 1 for m in orders])
 
-    For t = p/q evaluates (-1)**(m+1) (m-1)! q**m Im((p+iq)**m)
-    / (p**2+q**2)**m with one Gaussian-integer power.  Order 0 is
-    excluded: arctan itself is not a rational function.
-    """
+
+def arctan_deriv(m: int, t: Fraction) -> Fraction:
+    """m-th derivative of arctan at t, for m >= 1."""
     return arctan_deriv_scaled(m, Fraction(1), t)
 
 
 def arctan_deriv_scaled(m: int, x: Fraction, t: Fraction) -> Fraction:
-    """m-th derivative of arctan(x*t) with respect to t, for m >= 1.
+    """m-th derivative of arctan(x*t) with respect to t, for m >= 1: the
+    ``arctan_derivs_scaled`` pair at order m, reduced."""
+    return Fraction(*next(arctan_derivs_scaled(x, t, [m])))
 
-    By the chain rule this is x**m arctan^(m)(x*t).  The arctan formula
-    is homogeneous of degree 0 in (p, q), so x*t = p/q need not be in
-    lowest terms: for x = a/b and t = c/d take p = a*c and q = b*d, and
-    x**m q**m collapses to (a*d)**m.  The value
 
-        (-1)**(m+1) (m-1)! (a*d)**m Im((p+iq)**m) / (p**2+q**2)**m
+def arctan_derivs_scaled(
+    x: Fraction, t: Fraction, orders: Iterable[int]
+) -> Iterator[tuple[int, int]]:
+    """The derivatives of arctan(x*t) with respect to t at increasing
+    orders >= 1, as unreduced (num, den) int pairs with den > 0.
 
-    is built from ints and reduced once, as a single ``Fraction``.
+    The m-th is x**m arctan^(m)(x*t).  The formula is homogeneous of
+    degree 0 in (p, q), so for x = a/b, t = c/d take p = a*c, q = b*d;
+    x**m q**m is then (a*d)**m, and with w = p + iq order m yields
+
+        ((-1)**(m+1) (m-1)! (a*d)**m Im(w**m), (p**2 + q**2)**m).
+
+    The first order's power is one ``gaussian_pow``; each later order
+    steps w**k, the coefficient and (p**2 + q**2)**k forward one k at a time.
     """
-    if m < 1:
-        raise OrderError("arctan derivatives need order >= 1")
     a, b = x.numerator, x.denominator
     c, d = t.numerator, t.denominator
     p, q = a * c, b * d
-    _, im = gaussian_pow(p, q, m)
-    return Fraction((-1) ** (m + 1) * factorial(m - 1) * (a * d) ** m * im,
-                    (p * p + q * q) ** m)
+    ad, norm = a * d, p * p + q * q
+    k = 0
+    for m in orders:
+        if m <= k:
+            raise OrderError("arctan derivative orders must be increasing "
+                             "and >= 1")
+        if k == 0:
+            re, im = gaussian_pow(p, q, m)
+            coef = (-1) ** (m + 1) * factorial(m - 1) * ad**m
+            den = norm**m
+        else:
+            for j in range(k, m):  # order j to j + 1
+                re, im = re * p - im * q, re * q + im * p
+                coef *= -j * ad
+                den *= norm
+        k = m
+        yield coef * im, den
 
 
 def arctan_deriv_sine_form(m: int, t: float) -> float:

@@ -11,22 +11,17 @@ be recast over even orders only, with m running to floor(M/2) + 1:
     2 sum_{l=1..L} sum_{m=1..} 1 / ((2L)**(2m-1) (2m-1)!) f^(2m-2)(node_l)
 
 Both forms are finite truncations, exact over rationals, and agree term by
-term; integrands are supplied as derivative oracles returning exact values.
-One weight table serves both: (m, numerator, denominator) int triples in
-lowest terms for m = 0..M, of which the even-order form keeps the rows
-with a nonzero numerator.
+term.  One weight table serves both: (m, numerator, denominator) int
+triples in lowest terms for m = 0..M, of which the even-order form keeps
+the rows with a nonzero numerator.
 
-Accumulation order: each node's weighted terms are summed in plain ints.
-Each term w * f(order, node) joins the node's unreduced (num, den) by an
-lcm add: with g = gcd(den, td), num = num*(td/g) + tn*(den/g) and
-den = den*(td/g).  That is one gcd per term and no ``Fraction`` until the
-node is done, where one ``Fraction`` reduces the node sum (a ``Fraction``
-product and sum per term would cost several gcds each).  The L node sums
-are then combined pairwise (``exact.pairwise_sum``), whose tree adds
-operands of similar size.  Exact addition is associative, so the result
-is the same reduced rational as a sequential sum; the oracle is called
-once per (node, order), node by node and in increasing order within a
-node.
+An integrand is a ``DerivativeOracle``: asked once per node, node by node,
+for all of the rule's orders in increasing order, it returns each
+f^(order)(node) as an unreduced (num, den) int pair with den > 0.  A node's
+weighted pairs are added in ints by an lcm add (with g = gcd(den, td):
+num = num*(td/g) + tn*(den/g), den = den*(td/g)), one ``Fraction`` reduces
+the node sum, and the node sums are added pairwise (``exact.pairwise_sum``).
+Exact addition is associative: the result is that of a term-by-term sum.
 """
 
 from __future__ import annotations
@@ -34,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 from .exact import pairwise_sum
 
-DerivativeOracle = Callable[[int, Fraction], Fraction]
-"""Maps (order, node) to the exact value of f^(order)(node)."""
+DerivativeOracle = Callable[
+    [Fraction, Sequence[int]], Iterable[tuple[int, int]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,10 +67,10 @@ def monomial_oracle(degree: int) -> DerivativeOracle:
     if degree < 0:
         raise ValueError("monomial degree must be >= 0")
 
-    def f(m: int, t: Fraction) -> Fraction:
-        if m > degree:
-            return Fraction(0)
-        return factorial(degree) // factorial(degree - m) * t ** (degree - m)
+    def f(t: Fraction, orders: Sequence[int]) -> list[tuple[int, int]]:
+        return [(factorial(degree) // factorial(degree - m)
+                 * t.numerator ** (degree - m), t.denominator ** (degree - m))
+                if m <= degree else (0, 1) for m in orders]
     return f
 
 
@@ -97,16 +92,16 @@ def _corrected_midpoint(
     p: ComputationParams,
     weights: list[tuple[int, int, int]],
 ) -> Fraction:
-    """sum over l = 1..L of sum over (order, wn, wd) of
-    wn/wd * f(order, node_l), summed in ints within each node, then added
-    pairwise across nodes."""
+    """sum over l = 1..L and (order, wn, wd) of wn/wd * f^(order)(node_l),
+    summed in ints within each node, then added pairwise across nodes."""
+    orders = [order for order, _, _ in weights]
     node_sums = []
     for node in midpoint_nodes(p.L):
         num, den = 0, 1
-        for order, wn, wd in weights:
-            value = f(order, node)
+        for (_, wn, wd), (vn, vd) in zip(weights, f(node, orders),
+                                         strict=True):
             if wn:  # odd orders of the all-order form weigh 0
-                tn, td = wn * value.numerator, wd * value.denominator
+                tn, td = wn * vn, wd * vd
                 g = gcd(den, td)
                 num = num * (td // g) + tn * (den // g)
                 den *= td // g

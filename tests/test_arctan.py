@@ -11,7 +11,7 @@ from arcpi.arctan import (
     arctan_derivative_form,
     closed_form_block,
 )
-from arcpi.pi import arctan_taylor_reference, reference_pi
+from arcpi.pi import GAUSS_TERMS, arctan_taylor_reference, reference_pi
 from arcpi.quadrature import ComputationParams
 
 F = Fraction
@@ -135,6 +135,18 @@ def test_paths_identical(x, L):
 def test_paths_identical_on_random_rationals(x, L, M):
     p = P(L, M)
     assert arctan_closed_form(x, p) == arctan_derivative_form(x, p)
+
+
+@pytest.mark.parametrize("x, L, M", [
+    *((F(1, recip), 1, 250) for _, recip in GAUSS_TERMS),
+    (F(1, 5257), 1, 1000),
+])
+def test_paths_identical_at_planner_shapes(x, L, M):
+    """One node and hundreds of orders, the shapes that certify about
+    1000 pi digits from the nine Gauss terms: both routes give the same
+    rational there too."""
+    p = P(L, M)
+    assert arctan_derivative_form(x, p) == arctan_closed_form(x, p)
 
 
 @pytest.mark.parametrize("x", [F(1), F(1, 5), F(-2, 7), F(239)])

@@ -165,7 +165,7 @@ class TestIntStrLimit:
         shown = out.splitlines()[1]
         assert max(len(part) for part in shown.split("/")) > 4300
         assert read_rational(shown) == integrate_all_orders(
-            cli.deriv_inv_one_plus_t2, ComputationParams(30, 60))
+            cli.inv_one_plus_t2_derivs, ComputationParams(30, 60))
 
 
 class TestArctanCommand:
@@ -337,9 +337,13 @@ class TestBenchCommand:
 
     def test_deriv_paths_disagreement_is_integrity_error(self, capsys,
                                                          monkeypatch):
-        kernel = cli.deriv_inv_one_plus_t2
-        monkeypatch.setattr(cli, "deriv_inv_one_plus_t2",
-                            lambda m, t: kernel(m, t) + (m == 2))
+        kernel = cli.inv_one_plus_t2_derivs
+
+        def broken(t, orders):  # adds 1 to every order-2 value
+            for m, (num, den) in zip(orders, kernel(t, orders)):
+                yield num + (m == 2) * den, den
+
+        monkeypatch.setattr(cli, "inv_one_plus_t2_derivs", broken)
         code, out, err = run_cli(capsys, "bench", "--suite", "deriv-paths",
                                  "--sizes", "3")
         assert code == cli.INTEGRITY_EXIT == 4

@@ -1,6 +1,7 @@
 """Closed-form derivative evaluators against hand values and the oracle."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,10 +10,13 @@ from arcpi.errors import OrderError, PoleError
 from arcpi.kernels import (
     arctan_deriv,
     arctan_deriv_scaled,
+    arctan_derivs_scaled,
     arctan_deriv_sine_form,
     deriv_inv_one_minus_u2,
     deriv_inv_one_plus_t2,
+    inv_one_plus_t2_derivs,
 )
+from arcpi.exact import gaussian_pow
 from arcpi.oracle import RationalFunction, oracle_derivative
 
 F = Fraction
@@ -25,6 +29,22 @@ signed_rationals = st.one_of(
     st.just(F(0)),
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
 )
+
+
+def arctan_deriv_scaled_reference(m: int, x: F, t: F) -> F:
+    """The per-order kernel the node stream replaced: one Gaussian-integer
+    power from scratch and one reduced ``Fraction`` per order,
+
+        (-1)**(m+1) (m-1)! (a*d)**m Im((p+iq)**m) / (p**2+q**2)**m
+
+    with x = a/b, t = c/d, p = a*c and q = b*d.
+    """
+    a, b = x.numerator, x.denominator
+    c, d = t.numerator, t.denominator
+    p, q = a * c, b * d
+    _, im = gaussian_pow(p, q, m)
+    return F((-1) ** (m + 1) * factorial(m - 1) * (a * d) ** m * im,
+             (p * p + q * q) ** m)
 
 
 class TestEvenKernel:
@@ -119,6 +139,51 @@ class TestScaledVariant:
         for m in range(1, 8):
             assert arctan_deriv_scaled(m, x, t) == \
                 x**m * deriv_inv_one_plus_t2(m - 1, x * t)
+
+
+# the three order lists the callers ask for: every order (the all-order
+# rule and deriv-paths), the odd orders of the even-order rule, and one
+# large order (`deriv -m 2000`)
+consecutive_orders = st.integers(min_value=1, max_value=40).map(
+    lambda n: list(range(1, n + 1)))
+odd_orders = st.integers(min_value=1, max_value=25).map(
+    lambda n: list(range(1, 2 * n, 2)))
+single_order = st.integers(min_value=1, max_value=2000).map(lambda m: [m])
+
+
+class TestNodeStream:
+    """``arctan_derivs_scaled`` against the per-order reference kernel."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(signed_rationals, signed_rationals,
+           st.one_of(consecutive_orders, odd_orders, single_order))
+    def test_equals_reference_order_by_order(self, x, t, orders):
+        pairs = list(arctan_derivs_scaled(x, t, orders))
+        assert len(pairs) == len(orders)
+        for m, (num, den) in zip(orders, pairs):
+            assert den > 0
+            assert F(num, den) == arctan_deriv_scaled_reference(m, x, t)
+
+    @pytest.mark.parametrize("x, t", [(F(0), F(3)), (F(-7, 2), F(0)),
+                                      (F(5, 3), F(-11, 4))])
+    def test_large_order_after_small_ones(self, x, t):
+        """A jump from order 3 to 700 steps the running power through."""
+        pairs = list(arctan_derivs_scaled(x, t, [1, 3, 700]))
+        assert [F(*v) for v in pairs] == [
+            arctan_deriv_scaled_reference(m, x, t) for m in (1, 3, 700)]
+
+    @pytest.mark.parametrize("orders", [[0], [2, 2], [3, 1], [1, -1]])
+    def test_orders_must_increase_from_one(self, orders):
+        with pytest.raises(OrderError):
+            list(arctan_derivs_scaled(F(1, 2), F(3), orders))
+
+    def test_empty_orders(self):
+        assert list(arctan_derivs_scaled(F(1, 2), F(3), [])) == []
+
+    def test_inv_one_plus_t2_stream_is_one_order_up(self):
+        t = F(-7, 5)
+        assert [F(*v) for v in inv_one_plus_t2_derivs(t, range(9))] == \
+            [deriv_inv_one_plus_t2(m, t) for m in range(9)]
 
 
 class TestSineForm:

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arcpi.kernels import arctan_deriv_scaled, deriv_inv_one_plus_t2
+from arcpi.kernels import arctan_derivs_scaled, inv_one_plus_t2_derivs
 from arcpi.quadrature import (
     ComputationParams,
     integrate_all_orders,
@@ -18,8 +18,8 @@ from arcpi.quadrature import (
 F = Fraction
 
 
-def constant(m, t):
-    return F(1) if m == 0 else F(0)
+def constant(t, orders):
+    return [(1, 1) if m == 0 else (0, 1) for m in orders]
 
 
 class TestComputationParams:
@@ -75,8 +75,8 @@ class TestEvenOrdersRule:
 
     def test_kernel_cross_path(self):
         p = ComputationParams(1, 2)
-        assert integrate_even_orders(deriv_inv_one_plus_t2, p) == \
-            integrate_all_orders(deriv_inv_one_plus_t2, p)
+        assert integrate_even_orders(inv_one_plus_t2_derivs, p) == \
+            integrate_all_orders(inv_one_plus_t2_derivs, p)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])
@@ -84,7 +84,7 @@ class TestEvenOrdersRule:
 def test_rules_identical(L, M):
     """Odd orders contribute a zero factor, so both forms agree exactly."""
     p = ComputationParams(L, M)
-    for f in (deriv_inv_one_plus_t2, monomial_oracle(3)):
+    for f in (inv_one_plus_t2_derivs, monomial_oracle(3)):
         assert integrate_all_orders(f, p) == integrate_even_orders(f, p)
 
 
@@ -133,7 +133,7 @@ class TestIntegrationError:
 
     def test_nonzero_error_is_positive(self):
         p = ComputationParams(1, 2)
-        assert all(rule(deriv_inv_one_plus_t2, p) != F(1, 3)
+        assert all(rule(inv_one_plus_t2_derivs, p) != F(1, 3)
                    for rule in self.rules)
 
 
@@ -141,14 +141,21 @@ class TestIntegrationError:
 #
 # The rules sum each node in ints and add the node sums pairwise; these
 # references add every weighted term to one running total, node by node,
-# with the weights written out from the rule's formulas.
+# with the weights written out from the rule's formulas, and ask the
+# oracle for one order at a time.
+
+def value(f, m, t):
+    """f^(m)(t) from the oracle f, asked for order m alone."""
+    (pair,) = f(t, [m])
+    return F(*pair)
+
 
 def sequential_all_orders(f, p):
     total = F(0)
     for node in midpoint_nodes(p.L):
         for m in range(p.M + 1):
             w = F((-1) ** m + 1, (2 * p.L) ** (m + 1) * factorial(m + 1))
-            total += w * f(m, node)
+            total += w * value(f, m, node)
     return total
 
 
@@ -157,22 +164,22 @@ def sequential_even_orders(f, p):
     for node in midpoint_nodes(p.L):
         for m in range(1, p.M // 2 + 2):
             w = F(2, (2 * p.L) ** (2 * m - 1) * factorial(2 * m - 1))
-            total += w * f(2 * m - 2, node)
+            total += w * value(f, 2 * m - 2, node)
     return total
 
 
 def arctan_integrand(x):
     """Derivative oracle of x/(1 + x**2 t**2), the t-derivative of
     arctan(x*t)."""
-    def f(m, t):
-        return arctan_deriv_scaled(m + 1, x, t)
+    def f(t, orders):
+        return arctan_derivs_scaled(x, t, [m + 1 for m in orders])
     return f
 
 
-def non_dividing_denominators(m, t):
+def non_dividing_denominators(t, orders):
     """An oracle whose term denominators 3**m + 7 do not divide one
     another, so each int node sum takes a partial gcd in its lcm add."""
-    return F(1, 3**m + 7) * t**m
+    return [(t.numerator**m, (3**m + 7) * t.denominator**m) for m in orders]
 
 
 oracles = st.one_of(
@@ -203,11 +210,22 @@ def test_even_rule_equals_sequential_sum_at_dual_route_size():
     (integrate_even_orders, [0, 2, 4]),
 ])
 def test_oracle_called_once_per_node_and_order_in_order(rule, orders):
+    """Each node is asked once, for all of the rule's orders in increasing
+    order, and the nodes are asked in order."""
     calls = []
 
-    def f(m, t):
-        calls.append((t, m))
-        return deriv_inv_one_plus_t2(m, t)
+    def f(t, asked):
+        calls.append((t, list(asked)))
+        return inv_one_plus_t2_derivs(t, asked)
 
     rule(f, ComputationParams(3, 4))
-    assert calls == [(t, m) for t in midpoint_nodes(3) for m in orders]
+    assert calls == [(t, orders) for t in midpoint_nodes(3)]
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_oracle_must_yield_one_value_per_order(count):
+    def f(t, orders):
+        return [(1, 1)] * count
+
+    with pytest.raises(ValueError):
+        integrate_even_orders(f, ComputationParams(2, 4))
