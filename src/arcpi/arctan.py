@@ -18,11 +18,11 @@ derivative orders up to M, but by unrelated routes:
 The two routes agree exactly, rational to rational, for every x, L, M;
 that equality is the library's central invariant.
 
-Both accumulate in plain ints and reduce late.  The closed form puts each
-node over one common denominator and builds its numerator by Horner's
-rule (``closed_form_nodes``), then adds the nodes with no gcd
-(``exact.pair_sum``).  The derivative form asks each node once for all its
-orders, and ``kernels.arctan_derivs_scaled`` streams them as unreduced
+Both accumulate each node in plain ints, reduce it once, and add the
+nodes with ``exact.pairwise_sum``.  The closed form puts each node over
+one common denominator and builds its numerator by Horner's rule
+(``closed_form_nodes``).  The derivative form asks each node once for all
+its orders, and ``kernels.arctan_derivs_scaled`` streams them as unreduced
 int pairs, which the rule adds per node by an lcm add (``arcpi.quadrature``).
 
 Neither route needs a case for x = 0: there every Gaussian integer is
@@ -36,29 +36,29 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import gaussian_pow, pair_sum
+from .exact import gaussian_pow, pairwise_sum
 from .kernels import arctan_derivs_scaled
 from .quadrature import ComputationParams, integrate_even_orders
 
 
 def closed_form_nodes(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
-) -> tuple[int, list[tuple[int, int]]]:
-    """Per-node closed-form sums over the given outer indices, as
-    ``(odd_lcm, [(acc, norm**(2K-1)), ...])`` with one pair per index.
+) -> list[tuple[int, int]]:
+    """The closed-form node sums over the given outer indices, one
+    unreduced ``(num, den)`` fraction per index, every den > 0.
 
-    Node l contributes 2 * acc / (odd_lcm * norm**(2K-1)) to the sum, where
+    Node l is 2 * acc / (odd_lcm * norm**(2K-1)), where
     odd_lcm = lcm(1, 3, ..., 2K-1), x = num/den, w = num*(2l-1) + 2iL*den,
     norm = |w|**2 and acc is the Horner numerator of
     sum_{m=1..K} (odd_lcm/(2m-1)) num**(2m-1) Im(w**(2m-1)) norm**(2K-2m)
-    (module docstring).  Every denominator is positive; no gcd is taken.
+    (module docstring).  No gcd is taken.
     """
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
     k = p.inner_terms
     odd_lcm = math.lcm(*range(1, 2 * k, 2))
     num2 = num * num
-    node_sums = []
+    nodes = []
     for ell in ells:
         re, im = num * (2 * ell - 1), two_l_den  # w**(2m-1)
         w2_re, w2_im = gaussian_pow(re, im, 2)
@@ -71,24 +71,22 @@ def closed_form_nodes(
                 re, im = re * w2_re - im * w2_im, re * w2_im + im * w2_re
                 num_pow *= num2
             acc = acc * norm2 + odd_lcm // (2 * m - 1) * num_pow * im
-        node_sums.append((acc, norm ** (2 * k - 1)))
-    return odd_lcm, node_sums
+        nodes.append((2 * acc, odd_lcm * norm ** (2 * k - 1)))
+    return nodes
 
 
 def closed_form_block(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
 ) -> Fraction:
-    """Partial closed-form sum over the given outer indices: the node sums
-    of ``closed_form_nodes``, added by ``exact.pair_sum`` with no gcd and
-    reduced once."""
-    odd_lcm, node_sums = closed_form_nodes(x, p, ells)
-    total, denom = pair_sum(node_sums)
-    return Fraction(2 * total, odd_lcm * denom)
+    """Partial closed-form sum over the given outer indices: the nodes of
+    ``closed_form_nodes``, each reduced, added by ``exact.pairwise_sum``."""
+    return pairwise_sum(
+        Fraction(n, d) for n, d in closed_form_nodes(x, p, ells))
 
 
 def arctan_closed_form(x: Fraction, p: ComputationParams) -> Fraction:
     """Truncated arctangent sum via Gaussian-integer powers: the block of
-    all L nodes, reduced once."""
+    all L nodes."""
     return closed_form_block(x, p, range(1, p.L + 1))
 
 

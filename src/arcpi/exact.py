@@ -1,6 +1,6 @@
 """Exact arbitrary-precision arithmetic: rationals and Gaussian-integer
-powers, pairwise summation of rationals and of unreduced int pairs, decimal
-expansion and digit-agreement counting.
+powers, pairwise summation of rationals, decimal expansion and
+digit-agreement counting.
 
 Rationals are python's ``fractions.Fraction``, which already keeps the
 canonical form this library relies on everywhere: positive denominator,
@@ -10,11 +10,11 @@ is a nonnegative power of one, so all the heavy lifting stays in integer
 arithmetic and a single big denominator appears only when the result is
 turned into a ``Fraction``.
 
-A sum that only feeds a decimal expansion stays an unreduced
-``(num, den)`` pair (``pair_sum``, ``decimal_expand``): python's gcd is
-quadratic, so reducing a few hundred kbit can cost more than computing it.
-Decimal strings come from ``int_to_decimal`` and go back through
-``decimal_to_int``, both free of python's int/str digit limit.
+Every sum across nodes is ``pairwise_sum`` of reduced ``Fraction``s.
+``decimal_expand`` also takes an unreduced ``(num, den)`` pair, so a value
+that only feeds an expansion needs no gcd.  Decimal strings come from
+``int_to_decimal`` and go back through ``decimal_to_int``, both free of
+python's int/str digit limit.
 
 Every value here is immutable and every operation is a pure function, so
 values can be shipped freely between worker processes.
@@ -22,15 +22,12 @@ values can be shipped freely between worker processes.
 
 from __future__ import annotations
 
-import operator
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar
+from typing import Iterable
 
 from .errors import ComparisonError
-
-T = TypeVar("T")
 
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -55,17 +52,6 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def _pairwise(level: list[T], add: Callable[[T, T], T]) -> T:
-    """Add neighbours of a non-empty list, then the halved list again,
-    until one value is left."""
-    while len(level) > 1:
-        paired = [add(a, b) for a, b in zip(level[0::2], level[1::2])]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level[0]
-
-
 def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
     """Exact sum by pairwise addition: neighbours are added, then the
     halved list again, until one value is left; ``[]`` sums to 0.
@@ -75,22 +61,13 @@ def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
     far; the pairwise tree adds operands of similar size, so only the last
     few additions are large.
     """
-    level = list(values)
-    return _pairwise(level, operator.add) if level else Fraction(0)
-
-
-def _add_pairs(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    (n1, d1), (n2, d2) = a, b
-    return n1 * d2 + n2 * d1, d1 * d2
-
-
-def pair_sum(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
-    """Sum of the fractions n/d given as (n, d) int pairs, added in the
-    same pairwise order as ``pairwise_sum`` and left unreduced: no gcd is
-    taken, and the result's denominator is the product of the inputs'.
-    ``[]`` sums to (0, 1)."""
-    level = list(pairs)
-    return _pairwise(level, _add_pairs) if level else (0, 1)
+    level = list(values) or [Fraction(0)]
+    while len(level) > 1:
+        paired = [a + b for a, b in zip(level[0::2], level[1::2])]
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    return level[0]
 
 
 def gaussian_pow(re: int, im: int, k: int) -> tuple[int, int]:

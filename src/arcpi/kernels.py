@@ -23,7 +23,8 @@ The derivatives of 1/(1 + t**2) are the arctan derivatives one order up.
 The formula is written once, in ``arctan_derivs_scaled``, which streams
 the derivatives of arctan(x*t) at one t over increasing orders as
 unreduced (num, den) int pairs: the quadrature's derivative oracle shape.
-The one-order ``Fraction`` evaluators are views of it.
+``inv_one_plus_t2_derivs`` and the one-order ``arctan_deriv`` are views
+of it.
 """
 
 from __future__ import annotations
@@ -51,12 +52,6 @@ def deriv_inv_one_minus_u2(m: int, u: Fraction) -> Fraction:
     return Fraction((-1) ** m * factorial(m), 2) * bracket
 
 
-def deriv_inv_one_plus_t2(m: int, t: Fraction) -> Fraction:
-    """m-th derivative of 1/(1 + t**2) at t, for m >= 0: the (m+1)-th
-    arctan derivative."""
-    return arctan_deriv(m + 1, t)
-
-
 def inv_one_plus_t2_derivs(
     t: Fraction, orders: Iterable[int]
 ) -> Iterator[tuple[int, int]]:
@@ -66,14 +61,9 @@ def inv_one_plus_t2_derivs(
 
 
 def arctan_deriv(m: int, t: Fraction) -> Fraction:
-    """m-th derivative of arctan at t, for m >= 1."""
-    return arctan_deriv_scaled(m, Fraction(1), t)
-
-
-def arctan_deriv_scaled(m: int, x: Fraction, t: Fraction) -> Fraction:
-    """m-th derivative of arctan(x*t) with respect to t, for m >= 1: the
-    ``arctan_derivs_scaled`` pair at order m, reduced."""
-    return Fraction(*next(arctan_derivs_scaled(x, t, [m])))
+    """m-th derivative of arctan at t, for m >= 1: the
+    ``arctan_derivs_scaled`` pair at order m with x = 1, reduced."""
+    return Fraction(*next(arctan_derivs_scaled(Fraction(1), t, [m])))
 
 
 def arctan_derivs_scaled(

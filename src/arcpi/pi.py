@@ -10,12 +10,13 @@ Three exact evaluators share the truncation parameters (L, M):
   the truncation far more accurate at equal (L, M).
 
 The Gauss value is stated once, as a list of 9 * L exact node fractions
-(``_gauss_nodes``).  ``measure`` grades a ``DecimalExpansion``.  For
-``gauss`` it comes from ``gauss_expansion``, which floors each node at a
-scaled precision and certifies the digits from the floor errors; the
-exact sum of the nodes (``gauss_pair``, an unreduced ``(num, den)`` pair
-of ~860 kbit at L = M = 46) is built only when that certificate cannot
-decide.  The public ``pi_*`` evaluators return reduced ``Fraction``s.
+(``_gauss_nodes``), and ``pi_gauss`` adds them with ``exact.pairwise_sum``.
+``measure`` grades a ``DecimalExpansion``.  For ``gauss`` it comes from
+``gauss_expansion``, which floors each node at a scaled precision and
+certifies the digits from the floor errors; the exact sum (``pi_gauss``,
+a 711 kbit denominator at L = M = 46) is built only when that
+certificate cannot decide.  The public ``pi_*`` evaluators return
+reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
 published 1000-digit constant, and an independent Machin-formula
@@ -43,7 +44,7 @@ from .exact import (
     DecimalExpansion,
     decimal_expand,
     matching_digits,
-    pair_sum,
+    pairwise_sum,
 )
 from .quadrature import ComputationParams
 
@@ -95,9 +96,8 @@ def _gauss_term_nodes(
 ) -> list[tuple[int, int]]:
     """The L nodes of 4 * mult * arctan_closed_form(1/recip, p), as
     unreduced (num, den) pairs with positive denominators."""
-    odd_lcm, nodes = closed_form_nodes(
-        Fraction(1, recip), p, range(1, p.L + 1))
-    return [(8 * mult * acc, odd_lcm * norm_pow) for acc, norm_pow in nodes]
+    nodes = closed_form_nodes(Fraction(1, recip), p, range(1, p.L + 1))
+    return [(4 * mult * n, d) for n, d in nodes]
 
 
 def _gauss_nodes(
@@ -119,14 +119,6 @@ def _gauss_nodes(
     return [node for term in terms for node in term]
 
 
-def gauss_pair(
-    p: ComputationParams, workers: int | None = None
-) -> tuple[int, int]:
-    """``pi_gauss`` as an unreduced ``(num, den)`` pair, with no gcd: the
-    nodes of ``_gauss_nodes`` added pairwise (``exact.pair_sum``)."""
-    return pair_sum(_gauss_nodes(p, workers))
-
-
 def _guard_digits(terms: int) -> int:
     """Guard digits for a sum of ``terms`` floored node terms: room for
     the floor errors, and ten digits more."""
@@ -136,8 +128,8 @@ def _guard_digits(terms: int) -> int:
 def gauss_expansion(
     p: ComputationParams, n_digits: int, workers: int | None = None
 ) -> DecimalExpansion:
-    """``decimal_expand(gauss_pair(p, workers), n_digits)``, certified from
-    exact per-node floors so that the pair is rarely built.
+    """``decimal_expand(pi_gauss(p, workers), n_digits)``, certified from
+    exact per-node floors so that the exact sum is rarely built.
 
     Value: v = pi_gauss(p) is the sum of the n = 9 * L node fractions
     num / den of ``_gauss_nodes``, every denominator positive.
@@ -153,8 +145,8 @@ def gauss_expansion(
     the sign '+'.  All three hold, so the expansion of S / s to n_digits
     digits (D, truncated) is that of v.
 
-    When a test fails, the digits come from the exact pair instead, once:
-    ``decimal_expand(gauss_pair(p, workers), n_digits)``.  ``workers``
+    When a test fails, the digits come from the exact sum instead, once:
+    ``decimal_expand(pi_gauss(p, workers), n_digits)``.  ``workers``
     serves only that fallback.  With g = len(str(n)) + 10 guard digits, an
     interval of width n straddles a multiple of 10**g with a chance under
     1e-10.
@@ -166,13 +158,13 @@ def gauss_expansion(
     if (total >= 0 and total % guard
             and total // guard == (total + len(nodes) - 1) // guard):
         return decimal_expand((total, scale), n_digits)
-    return decimal_expand(gauss_pair(p, workers=workers), n_digits)
+    return decimal_expand(pi_gauss(p, workers=workers), n_digits)
 
 
 def pi_gauss(p: ComputationParams, workers: int | None = None) -> Fraction:
-    """Nine-term Gauss arctangent combination at shared (L, M), reduced
-    once from ``gauss_pair``."""
-    return Fraction(*gauss_pair(p, workers=workers))
+    """Nine-term Gauss arctangent combination at shared (L, M): the nodes
+    of ``_gauss_nodes``, each reduced, added by ``exact.pairwise_sum``."""
+    return pairwise_sum(Fraction(n, d) for n, d in _gauss_nodes(p, workers))
 
 
 def arctan_taylor_reference(x: Fraction, n_digits: int) -> Fraction:

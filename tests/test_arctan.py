@@ -10,6 +10,7 @@ from arcpi.arctan import (
     arctan_closed_form,
     arctan_derivative_form,
     closed_form_block,
+    closed_form_nodes,
 )
 from arcpi.pi import GAUSS_TERMS, arctan_taylor_reference, reference_pi
 from arcpi.quadrature import ComputationParams
@@ -230,3 +231,21 @@ def test_block_partition_sums_to_the_whole(x, L, M, data):
               for label in set(labels)]
     assert sum(closed_form_block(x, p, b) for b in blocks) == \
         closed_form_block(x, p, range(1, L + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.just(F(0)), signed_rationals),
+       st.integers(min_value=1, max_value=9),
+       st.integers(min_value=0, max_value=10))
+@example(F(0), 3, 3)
+@example(F(-7, 3), 5, 4)
+@example(F(5, 2), 2, 0)
+def test_nodes_have_positive_denominators_and_sum_to_the_closed_form(x, L, M):
+    """One node fraction per index, every den > 0, as the gauss floor
+    certificate needs; the nodes add up to the closed form."""
+    p = P(L, M)
+    nodes = closed_form_nodes(x, p, range(1, L + 1))
+    assert len(nodes) == L
+    assert all(den > 0 for _, den in nodes)
+    assert sum((F(num, den) for num, den in nodes), F(0)) == \
+        arctan_closed_form(x, p)

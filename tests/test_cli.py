@@ -96,10 +96,10 @@ def test_pi_json_matches_golden_bytes(capsys, golden):
 
 def test_gauss_report_never_reduces(capsys, monkeypatch):
     """`pi --method gauss` certifies its digits from per-node floors: it
-    builds no exact sum, let alone a reduced one."""
+    builds no exact sum."""
     def build(*args, **kwargs):
-        raise AssertionError("gauss_pair called by the pi command")
-    monkeypatch.setattr(pi, "gauss_pair", build)
+        raise AssertionError("pi_gauss called by the pi command")
+    monkeypatch.setattr(pi, "pi_gauss", build)
     record = run_json(capsys, "pi", "--method", "gauss", "-L", "8", "-M", "8",
                       "--digits", "60")
     assert record["matched_digits"] == "50"
@@ -365,8 +365,8 @@ class TestSelftest:
         assert "FAIL" not in out
 
     def test_broken_kernel_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(acceptance, "deriv_inv_one_plus_t2",
-                            lambda m, t: Fraction(0))
+        monkeypatch.setattr(acceptance, "inv_one_plus_t2_derivs",
+                            lambda t, orders: ((0, 1) for _ in orders))
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         assert "FAIL criterion 4" in out
@@ -383,8 +383,8 @@ class TestSelftest:
             assert c["ok"] is True
 
     def test_json_report_of_broken_kernel(self, capsys, monkeypatch):
-        monkeypatch.setattr(acceptance, "deriv_inv_one_plus_t2",
-                            lambda m, t: Fraction(0))
+        monkeypatch.setattr(acceptance, "inv_one_plus_t2_derivs",
+                            lambda t, orders: ((0, 1) for _ in orders))
         code, out, _ = run_cli(capsys, "selftest", "--format", "json")
         assert code == 1
         report = json.loads(out)
@@ -395,9 +395,9 @@ class TestSelftest:
     def test_broken_kernel_fails_under_optimize_flag(self):
         """The checks must not depend on ``assert``, which -O strips."""
         script = (
-            "from fractions import Fraction\n"
             "from arcpi import acceptance, cli\n"
-            "acceptance.deriv_inv_one_plus_t2 = lambda m, t: Fraction(0)\n"
+            "acceptance.inv_one_plus_t2_derivs = "
+            "lambda t, orders: ((0, 1) for _ in orders)\n"
             "raise SystemExit(cli.main(['selftest']))\n")
         out = subprocess.run([sys.executable, "-O", "-c", script],
                              capture_output=True, text=True, timeout=120)

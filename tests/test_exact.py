@@ -1,6 +1,5 @@
 """Rational and Gaussian-integer arithmetic groundwork."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -15,7 +14,6 @@ from arcpi.exact import (
     gaussian_pow,
     int_to_decimal,
     matching_digits,
-    pair_sum,
     pairwise_sum,
     parse_rational,
 )
@@ -242,27 +240,12 @@ class TestPairwiseSum:
         assert pairwise_sum(F(1, 2 ** k) for k in range(5)) == F(31, 16)
 
 
-class TestPairSum:
-    def test_empty_is_zero(self):
-        assert pair_sum([]) == (0, 1)
-
-    def test_single_pair_is_left_unreduced(self):
-        assert pair_sum([(-6, 14)]) == (-6, 14)
-
-    def test_odd_length(self):
-        pairs = [(1, k) for k in range(1, 8)]
-        num, den = pair_sum(iter(pairs))
-        assert den == math.factorial(7)
-        assert F(num, den) == F(363, 140)
-
-
-@given(st.lists(st.tuples(st.integers(min_value=-10**6, max_value=10**6),
-                          st.integers(min_value=1, max_value=10**6)),
-                max_size=12))
-def test_pair_sum_is_the_exact_sum_over_the_product_denominator(pairs):
-    num, den = pair_sum(pairs)
-    assert den == math.prod(d for _, d in pairs)
-    assert F(num, den) == sum((F(n, d) for n, d in pairs), F(0))
+@given(st.lists(st.builds(Fraction, st.integers(-10**6, 10**6),
+                          st.integers(1, 10**6)), max_size=13))
+def test_pairwise_sum_is_the_exact_sum(values):
+    total = pairwise_sum(values)
+    assert isinstance(total, Fraction)
+    assert total == sum(values, Fraction(0))
 
 
 class TestIntToDecimal:

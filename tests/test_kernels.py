@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 from arcpi.errors import OrderError, PoleError
 from arcpi.kernels import (
     arctan_deriv,
-    arctan_deriv_scaled,
     arctan_derivs_scaled,
     arctan_deriv_sine_form,
     deriv_inv_one_minus_u2,
-    deriv_inv_one_plus_t2,
     inv_one_plus_t2_derivs,
 )
 from arcpi.exact import gaussian_pow
@@ -29,6 +27,18 @@ signed_rationals = st.one_of(
     st.just(F(0)),
     st.fractions(min_value=-50, max_value=50, max_denominator=60),
 )
+
+
+def one_plus_t2(m: int, t: F) -> F:
+    """m-th derivative of 1/(1 + t**2), read off the stream after it has
+    stepped up through every order from 0."""
+    return F(*list(inv_one_plus_t2_derivs(t, range(m + 1)))[-1])
+
+
+def scaled(m: int, x: F, t: F) -> F:
+    """m-th derivative of arctan(x*t), read off the stream after it has
+    stepped up through every order from 1."""
+    return F(*list(arctan_derivs_scaled(x, t, range(1, m + 1)))[-1])
 
 
 def arctan_deriv_scaled_reference(m: int, x: F, t: F) -> F:
@@ -78,15 +88,16 @@ class TestOddKernel:
         (2, F(0), F(-2)),        # series 1 - t^2 + ..., so f''(0) = -2
     ])
     def test_hand_values(self, m, t, want):
-        assert deriv_inv_one_plus_t2(m, t) == want
+        assert one_plus_t2(m, t) == want
 
     def test_large_order_stays_rational(self):
-        value = deriv_inv_one_plus_t2(20, F(7, 5))
-        assert isinstance(value, Fraction)
+        num, den = list(inv_one_plus_t2_derivs(F(7, 5), range(21)))[-1]
+        assert type(num) is int and type(den) is int and den > 0
+        assert F(num, den) == arctan_deriv(21, F(7, 5))
 
     def test_negative_order(self):
         with pytest.raises(OrderError):
-            deriv_inv_one_plus_t2(-2, F(0))
+            list(inv_one_plus_t2_derivs(F(0), [-2]))
 
 
 class TestArctanDeriv:
@@ -105,7 +116,7 @@ class TestArctanDeriv:
     @pytest.mark.parametrize("m", range(1, 11))
     @pytest.mark.parametrize("t", [F(0), F(1, 3), F(-7, 5), F(10)])
     def test_antiderivative_shift(self, m, t):
-        assert arctan_deriv(m, t) == deriv_inv_one_plus_t2(m - 1, t)
+        assert arctan_deriv(m, t) == one_plus_t2(m - 1, t)
 
     @pytest.mark.parametrize("m", range(1, 9))
     @pytest.mark.parametrize("t", [F(1, 2), F(2), F(13, 7)])
@@ -120,25 +131,25 @@ class TestScaledVariant:
         (1, F(2), F(0), F(2)),
     ])
     def test_hand_values(self, m, x, t, want):
-        assert arctan_deriv_scaled(m, x, t) == want
+        assert scaled(m, x, t) == want
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_unit_scale_reduces(self, m):
         t = F(3, 7)
-        assert arctan_deriv_scaled(m, F(1), t) == arctan_deriv(m, t)
+        assert scaled(m, F(1), t) == arctan_deriv(m, t)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=1, max_value=15), signed_rationals,
            signed_rationals)
     def test_chain_rule_against_quotient_rule_oracle(self, m, x, t):
-        assert arctan_deriv_scaled(m, x, t) == \
-            x**m * oracle_derivative(m - 1, ONE_PLUS, x * t)
+        stream = [F(*v) for v in arctan_derivs_scaled(x, t, range(1, m + 1))]
+        assert stream == [x**k * oracle_derivative(k - 1, ONE_PLUS, x * t)
+                          for k in range(1, m + 1)]
 
     def test_chain_rule_against_shifted_kernel(self):
         x, t = F(2, 3), F(1, 4)
         for m in range(1, 8):
-            assert arctan_deriv_scaled(m, x, t) == \
-                x**m * deriv_inv_one_plus_t2(m - 1, x * t)
+            assert scaled(m, x, t) == x**m * one_plus_t2(m - 1, x * t)
 
 
 # the three order lists the callers ask for: every order (the all-order
@@ -183,7 +194,7 @@ class TestNodeStream:
     def test_inv_one_plus_t2_stream_is_one_order_up(self):
         t = F(-7, 5)
         assert [F(*v) for v in inv_one_plus_t2_derivs(t, range(9))] == \
-            [deriv_inv_one_plus_t2(m, t) for m in range(9)]
+            [arctan_deriv(m + 1, t) for m in range(9)]
 
 
 class TestSineForm:
@@ -258,7 +269,7 @@ U_GRID = [u for u in T_GRID if abs(u) != 1]
 @pytest.mark.parametrize("m", range(16))
 def test_oracle_agrees_with_odd_kernel(m):
     for t in T_GRID:
-        assert deriv_inv_one_plus_t2(m, t) == oracle_derivative(m, ONE_PLUS, t)
+        assert one_plus_t2(m, t) == oracle_derivative(m, ONE_PLUS, t)
 
 
 @pytest.mark.parametrize("m", range(16))
@@ -278,4 +289,5 @@ def test_oracle_agrees_with_arctan_derivative(m):
 @given(st.integers(min_value=0, max_value=12),
        st.fractions(min_value=-100, max_value=100, max_denominator=100))
 def test_odd_kernel_matches_oracle_on_random_rationals(m, t):
-    assert deriv_inv_one_plus_t2(m, t) == oracle_derivative(m, ONE_PLUS, t)
+    assert [F(*v) for v in inv_one_plus_t2_derivs(t, range(m + 1))] == \
+        [oracle_derivative(k, ONE_PLUS, t) for k in range(m + 1)]

@@ -11,9 +11,9 @@ from arcpi.exact import decimal_expand, matching_digits
 from arcpi.pi import (
     GAUSS_TERMS,
     METHODS,
+    _gauss_nodes,
     arctan_taylor_reference,
     gauss_expansion,
-    gauss_pair,
     measure,
     pi_closed_form,
     pi_derivative_form,
@@ -104,11 +104,12 @@ class TestGaussCombination:
 
     @pytest.mark.parametrize("p", [P(1, 0), P(3, 4), P(5, 2)])
     def test_pair_is_the_sum_of_reduced_terms(self, p):
-        num, den = gauss_pair(p)
-        assert den > 0
-        assert Fraction(num, den) == pi_gauss(p) == 4 * sum(
-            mult * arctan_closed_form(F(1, recip), p)
-            for mult, recip in GAUSS_TERMS)
+        nodes = _gauss_nodes(p)
+        assert len(nodes) == 9 * p.L
+        assert all(den > 0 for _, den in nodes)
+        assert sum(F(num, den) for num, den in nodes) == pi_gauss(p) == \
+            4 * sum(mult * arctan_closed_form(F(1, recip), p)
+                    for mult, recip in GAUSS_TERMS)
 
 
 @pytest.mark.parametrize("cpus, workers, want", [
@@ -122,9 +123,9 @@ def test_gauss_opens_at_most_one_pool(monkeypatch, pool_sizes, cpus, workers,
                                       want):
     monkeypatch.setattr(pi.os, "cpu_count", lambda: cpus)
     p = P(3, 3)
-    serial = gauss_pair(p)
+    serial = _gauss_nodes(p)
     assert pool_sizes == []
-    assert gauss_pair(p, workers=workers) == serial
+    assert _gauss_nodes(p, workers=workers) == serial
     assert pool_sizes == want
 
 
@@ -137,31 +138,31 @@ def _recording(fn, calls):
 
 class TestGaussExpansion:
     """The certified digits of ``gauss_expansion`` against the expansion of
-    the exact pair."""
+    the exact sum, ``pi_gauss``."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
     def test_matches_the_exact_pair(self, L, M, n):
         p = P(L, M)
-        assert gauss_expansion(p, n) == decimal_expand(gauss_pair(p), n)
+        assert gauss_expansion(p, n) == decimal_expand(pi_gauss(p), n)
 
     @pytest.mark.parametrize("size", [8, 16, 32, 46])
     def test_golden_sizes_certify_without_the_pair(self, monkeypatch, size):
         p = P(size, size)
-        exact = decimal_expand(gauss_pair(p), 400)
+        exact = decimal_expand(pi_gauss(p), 400)
         calls = []
-        monkeypatch.setattr(pi, "gauss_pair", _recording(gauss_pair, calls))
+        monkeypatch.setattr(pi, "pi_gauss", _recording(pi_gauss, calls))
         assert gauss_expansion(p, 400) == exact
         assert calls == []
 
     def test_no_guard_falls_back_to_the_pair(self, monkeypatch):
         monkeypatch.setattr(pi, "_guard_digits", lambda terms: 0)
         calls = []
-        monkeypatch.setattr(pi, "gauss_pair", _recording(gauss_pair, calls))
+        monkeypatch.setattr(pi, "pi_gauss", _recording(pi_gauss, calls))
         p = P(4, 6)
         got = gauss_expansion(p, 50, workers=3)
         assert calls == [(p,)]
-        assert got == decimal_expand(gauss_pair(p), 50)
+        assert got == decimal_expand(pi_gauss(p), 50)
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("M", range(6))
@@ -171,7 +172,7 @@ class TestGaussExpansion:
         # boundary: the bound must catch every such case
         monkeypatch.setattr(pi, "_guard_digits", lambda terms: 1)
         p = P(L, M)
-        exact = gauss_pair(p)
+        exact = pi_gauss(p)
         for n in (1, 5, 20, 50):
             assert gauss_expansion(p, n) == decimal_expand(exact, n)
 
@@ -182,12 +183,12 @@ class TestGaussExpansion:
 
         def nodes(x, p, ells):
             mult = mults[x.denominator]
-            return 1, [(1, 32 * abs(mult))]  # 8 * mult / (32 * |mult|)
+            return [(2, 32 * abs(mult))]  # 4 * mult * 2 / (32 * |mult|)
 
         calls = []
         monkeypatch.setattr(pi, "closed_form_nodes", nodes)
-        monkeypatch.setattr(pi, "gauss_pair",
-                            _recording(lambda p, workers=None: (7, 4), calls))
+        monkeypatch.setattr(pi, "pi_gauss",
+                            _recording(lambda p, workers=None: F(7, 4), calls))
         got = gauss_expansion(P(1, 0), 5)
         assert calls == [(P(1, 0),)]
         assert got == decimal_expand(F(7, 4), 5)
