@@ -1,4 +1,4 @@
-"""Acceptance checks: criteria 3-7 and 9 of the acceptance suite, defined
+"""Acceptance checks: criteria 3-7 of the acceptance suite, defined
 once.  ``arcpi selftest`` runs this table and tests/test_acceptance.py
 asserts on the same entries.  Each check returns (ok, detail) and never
 relies on ``assert``, so a broken kernel still fails under ``python -O``.
@@ -24,7 +24,6 @@ from .kernels import (
 from .oracle import RationalFunction, oracle_derivative
 from .pi import (
     GAUSS_TERMS,
-    _gauss_nodes,
     arctan_taylor_reference,
     pi_closed_form,
     pi_derivative_form,
@@ -140,18 +139,6 @@ def _check_reference() -> tuple[bool, str]:
             f"combination matches reference in {matched} digits")
 
 
-def _check_parallel() -> tuple[bool, str]:
-    """The pooled nine-term node list equals the serial one, node by node,
-    numerator and denominator, before any reduction.
-
-    Run at L = M = 8: the pool is what is under test here.  The L = M = 46
-    digit counts are pinned by criteria 2 and 8 and by the golden report
-    file.
-    """
-    p = P(8, 8)
-    return _gauss_nodes(p, workers=4) == _gauss_nodes(p), ""
-
-
 ACCEPTANCE_CHECKS: tuple[
     tuple[int, str, Callable[[], tuple[bool, str]]], ...] = (
     (3, "both evaluation paths give identical rationals",
@@ -161,8 +148,6 @@ ACCEPTANCE_CHECKS: tuple[
     (5, "floating sine form agrees within tolerance", _check_sine_form),
     (6, "quadrature identities and polynomial exactness", _check_quadrature),
     (7, "dual-sourced reference verified to 1000 digits", _check_reference),
-    (9, "pooled and serial gauss nodes are identical, unreduced",
-     _check_parallel),
 )
 
 

@@ -18,12 +18,13 @@ derivative orders up to M, but by unrelated routes:
 The two routes agree exactly, rational to rational, for every x, L, M;
 that equality is the library's central invariant.
 
-Both accumulate each node in plain ints, reduce it once, and add the
-nodes with ``exact.pairwise_sum``.  The closed form puts each node over
-one common denominator and builds its numerator by Horner's rule
-(``closed_form_nodes``).  The derivative form asks each node once for all
-its orders, and ``kernels.arctan_derivs_scaled`` streams them as unreduced
-int pairs, which the rule adds per node by an lcm add (``arcpi.quadrature``).
+Both accumulate each node as an unreduced int pair, and
+``exact.pairwise_sum`` reduces each node once and adds the nodes.  The
+closed form puts each node over one common denominator and builds its
+numerator by Horner's rule (``closed_form_nodes``).  The derivative form
+asks each node once for all its orders, and ``kernels.arctan_derivs_scaled``
+streams them as unreduced int pairs, which the rule adds per node by an lcm
+add (``arcpi.quadrature``).
 
 Neither route needs a case for x = 0: there every Gaussian integer is
 still nonzero (w = 2iL*den), and each term carries a factor num**(2m-1)
@@ -79,9 +80,8 @@ def closed_form_block(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
 ) -> Fraction:
     """Partial closed-form sum over the given outer indices: the nodes of
-    ``closed_form_nodes``, each reduced, added by ``exact.pairwise_sum``."""
-    return pairwise_sum(
-        Fraction(n, d) for n, d in closed_form_nodes(x, p, ells))
+    ``closed_form_nodes``, added by ``exact.pairwise_sum``."""
+    return pairwise_sum(closed_form_nodes(x, p, ells))
 
 
 def arctan_closed_form(x: Fraction, p: ComputationParams) -> Fraction:

@@ -111,7 +111,7 @@ def _sizes(text: str) -> tuple[int, ...]:
 
 def _run_pi(args: argparse.Namespace) -> int:
     params = ComputationParams(args.L, args.M)
-    result = measure(args.method, params, args.digits, workers=args.workers)
+    result = measure(args.method, params, args.digits)
     expansion = result.expansion
     _emit(args, {
         "method": result.method,
@@ -369,10 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "combination; machin: two-term reference")
     add_params(p, 46, 46)
     p.add_argument("--digits", type=_positive_int, default=400)
-    p.add_argument("--workers", type=_positive_int, default=None,
-                   help="gauss only: when the digits need the exact sum, "
-                        "evaluate its nine terms in a pool of up to this "
-                        "many processes (capped at the CPU count)")
+    p.add_argument("--workers", type=_positive_int,
+                   help="ignored; still parsed, so older command lines run")
     add_format(p)
     p.set_defaults(run=_run_pi)
 

@@ -10,14 +10,14 @@ is a nonnegative power of one, so all the heavy lifting stays in integer
 arithmetic and a single big denominator appears only when the result is
 turned into a ``Fraction``.
 
-Every sum across nodes is ``pairwise_sum`` of reduced ``Fraction``s.
-``decimal_expand`` also takes an unreduced ``(num, den)`` pair, so a value
-that only feeds an expansion needs no gcd.  Decimal strings come from
+Every sum across nodes is ``pairwise_sum`` of the unreduced ``(num, den)``
+node pairs: it reduces each pair once, then adds them pairwise.
+``decimal_expand`` also takes an unreduced pair, so a value that only feeds
+an expansion needs no gcd.  Decimal strings come from
 ``int_to_decimal`` and go back through ``decimal_to_int``, both free of
 python's int/str digit limit.
 
-Every value here is immutable and every operation is a pure function, so
-values can be shipped freely between worker processes.
+Every value here is immutable and every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -52,8 +52,9 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum by pairwise addition: neighbours are added, then the
+def pairwise_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of unreduced ``(num, den)`` int pairs, den > 0: each pair
+    is reduced to a ``Fraction``, then neighbours are added, then the
     halved list again, until one value is left; ``[]`` sums to 0.
 
     Each ``Fraction +`` reduces by a gcd whose cost grows with the operand
@@ -61,7 +62,7 @@ def pairwise_sum(values: Iterable[Fraction]) -> Fraction:
     far; the pairwise tree adds operands of similar size, so only the last
     few additions are large.
     """
-    level = list(values) or [Fraction(0)]
+    level = [Fraction(n, d) for n, d in pairs] or [Fraction(0)]
     while len(level) > 1:
         paired = [a + b for a, b in zip(level[0::2], level[1::2])]
         if len(level) % 2:

@@ -13,8 +13,8 @@ The Gauss value is stated once, as a list of 9 * L exact node fractions
 (``_gauss_nodes``), and ``pi_gauss`` adds them with ``exact.pairwise_sum``.
 ``measure`` grades a ``DecimalExpansion``.  For ``gauss`` it comes from
 ``gauss_expansion``, which floors each node at a scaled precision and
-certifies the digits from the floor errors; the exact sum (``pi_gauss``,
-a 711 kbit denominator at L = M = 46) is built only when that
+certifies the digits from the floor errors; the exact sum of those same
+nodes (a 711 kbit denominator at L = M = 46) is built only when that
 certificate cannot decide.  The public ``pi_*`` evaluators return
 reduced ``Fraction``s.
 
@@ -27,7 +27,6 @@ approximation under test therefore never grades itself.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,32 +90,14 @@ def pi_derivative_form(p: ComputationParams) -> Fraction:
     return 4 * arctan_derivative_form(Fraction(1), p)
 
 
-def _gauss_term_nodes(
-    mult: int, recip: int, p: ComputationParams
-) -> list[tuple[int, int]]:
-    """The L nodes of 4 * mult * arctan_closed_form(1/recip, p), as
+def _gauss_nodes(p: ComputationParams) -> list[tuple[int, int]]:
+    """The 9 * L node fractions whose sum is ``pi_gauss(p)``: for each Gauss
+    term, the L nodes of 4 * mult * arctan_closed_form(1/recip, p), as
     unreduced (num, den) pairs with positive denominators."""
-    nodes = closed_form_nodes(Fraction(1, recip), p, range(1, p.L + 1))
-    return [(4 * mult * n, d) for n, d in nodes]
-
-
-def _gauss_nodes(
-    p: ComputationParams, workers: int | None = None
-) -> list[tuple[int, int]]:
-    """The 9 * L node fractions whose sum is ``pi_gauss(p)``.
-
-    ``workers`` > 1 maps the nine terms over one pool of
-    min(workers, 9, os.cpu_count()) processes; the list is the same.
-    """
-    tasks = [(mult, recip, p) for mult, recip in GAUSS_TERMS]
-    processes = min(workers or 1, len(tasks), os.cpu_count() or 1)
-    if processes > 1:
-        import multiprocessing  # here, so `import arcpi.cli` skips it
-        with multiprocessing.Pool(processes) as pool:
-            terms = pool.starmap(_gauss_term_nodes, tasks)
-    else:
-        terms = [_gauss_term_nodes(*t) for t in tasks]
-    return [node for term in terms for node in term]
+    ells = range(1, p.L + 1)
+    return [(4 * mult * n, d)
+            for mult, recip in GAUSS_TERMS
+            for n, d in closed_form_nodes(Fraction(1, recip), p, ells)]
 
 
 def _guard_digits(terms: int) -> int:
@@ -125,11 +106,9 @@ def _guard_digits(terms: int) -> int:
     return len(str(terms)) + 10
 
 
-def gauss_expansion(
-    p: ComputationParams, n_digits: int, workers: int | None = None
-) -> DecimalExpansion:
-    """``decimal_expand(pi_gauss(p, workers), n_digits)``, certified from
-    exact per-node floors so that the exact sum is rarely built.
+def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
+    """``decimal_expand(pi_gauss(p), n_digits)``, certified from exact
+    per-node floors so that the exact sum is rarely built.
 
     Value: v = pi_gauss(p) is the sum of the n = 9 * L node fractions
     num / den of ``_gauss_nodes``, every denominator positive.
@@ -145,11 +124,11 @@ def gauss_expansion(
     the sign '+'.  All three hold, so the expansion of S / s to n_digits
     digits (D, truncated) is that of v.
 
-    When a test fails, the digits come from the exact sum instead, once:
-    ``decimal_expand(pi_gauss(p, workers), n_digits)``.  ``workers``
-    serves only that fallback.  With g = len(str(n)) + 10 guard digits, an
-    interval of width n straddles a multiple of 10**g with a chance under
-    1e-10.
+    When a test fails, the digits come from the exact sum of the same
+    nodes instead, ``pairwise_sum(nodes)``, which is ``pi_gauss(p)``; the
+    nodes are built once either way.  With g = len(str(n)) + 10 guard
+    digits, an interval of width n straddles a multiple of 10**g with a
+    chance under 1e-10.
     """
     nodes = _gauss_nodes(p)
     guard = 10 ** _guard_digits(len(nodes))
@@ -158,13 +137,13 @@ def gauss_expansion(
     if (total >= 0 and total % guard
             and total // guard == (total + len(nodes) - 1) // guard):
         return decimal_expand((total, scale), n_digits)
-    return decimal_expand(pi_gauss(p, workers=workers), n_digits)
+    return decimal_expand(pairwise_sum(nodes), n_digits)
 
 
-def pi_gauss(p: ComputationParams, workers: int | None = None) -> Fraction:
+def pi_gauss(p: ComputationParams) -> Fraction:
     """Nine-term Gauss arctangent combination at shared (L, M): the nodes
-    of ``_gauss_nodes``, each reduced, added by ``exact.pairwise_sum``."""
-    return pairwise_sum(Fraction(n, d) for n, d in _gauss_nodes(p, workers))
+    of ``_gauss_nodes``, added by ``exact.pairwise_sum``."""
+    return pairwise_sum(_gauss_nodes(p))
 
 
 def arctan_taylor_reference(x: Fraction, n_digits: int) -> Fraction:
@@ -250,20 +229,14 @@ def reference_pi(n_digits: int) -> DecimalExpansion:
     return expansion
 
 
-def measure(
-    method: str,
-    p: ComputationParams,
-    n_digits: int,
-    workers: int | None = None,
-) -> PiResult:
+def measure(method: str, p: ComputationParams, n_digits: int) -> PiResult:
     """Run one method, count digits agreeing with the reference, and time it.
 
     ``n_digits`` outside 1..REFERENCE_DIGITS raises DomainError before any
     computation starts, since no result could be graded.  ``gauss`` digits
     come from ``gauss_expansion``, which builds no exact sum unless its
-    certificate fails; ``workers`` applies to that fallback only.  The
-    other methods expand their ``Fraction``.  ``elapsed_ms`` times the
-    computation and the expansion, not the grading.
+    certificate fails.  The other methods expand their ``Fraction``.
+    ``elapsed_ms`` times the computation and the expansion, not the grading.
     """
     _check_reference_digits(n_digits)
     start = time.perf_counter()
@@ -272,7 +245,7 @@ def measure(
     elif method == "eq18":
         expansion = decimal_expand(pi_derivative_form(p), n_digits)
     elif method == "gauss":
-        expansion = gauss_expansion(p, n_digits, workers=workers)
+        expansion = gauss_expansion(p, n_digits)
     elif method == "machin":
         expansion = decimal_expand(pi_machin(n_digits), n_digits)
     else:

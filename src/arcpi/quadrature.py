@@ -19,8 +19,8 @@ An integrand is a ``DerivativeOracle``: asked once per node, node by node,
 for all of the rule's orders in increasing order, it returns each
 f^(order)(node) as an unreduced (num, den) int pair with den > 0.  A node's
 weighted pairs are added in ints by an lcm add (with g = gcd(den, td):
-num = num*(td/g) + tn*(den/g), den = den*(td/g)), one ``Fraction`` reduces
-the node sum, and the node sums are added pairwise (``exact.pairwise_sum``).
+num = num*(td/g) + tn*(den/g), den = den*(td/g)), and ``exact.pairwise_sum``
+reduces each node sum once and adds the node sums pairwise.
 Exact addition is associative: the result is that of a term-by-term sum.
 """
 
@@ -105,7 +105,7 @@ def _corrected_midpoint(
                 g = gcd(den, td)
                 num = num * (td // g) + tn * (den // g)
                 den *= td // g
-        node_sums.append(Fraction(num, den))
+        node_sums.append((num, den))
     return pairwise_sum(node_sums)
 
 

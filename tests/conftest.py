@@ -1,34 +1,9 @@
 """Fixtures shared by the test modules."""
 
-import multiprocessing
 import sys
 from fractions import Fraction
 
 import pytest
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace ``multiprocessing.Pool`` by a stand-in that maps in this
-    process, so no process is ever started.  The returned list records the
-    process count of every pool opened."""
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def starmap(self, fn, items):
-            return [fn(*item) for item in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    return sizes
 
 
 def _chunk_digits() -> int:

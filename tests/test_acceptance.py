@@ -1,7 +1,7 @@
 """Acceptance gate: one test per shipping criterion, one printed line each.
 
 Each test prints PASS/FAIL through the capture bypass so the verdict is
-visible in any pytest run, then asserts.  Criteria 3-7 and 9 run the
+visible in any pytest run, then asserts.  Criteria 3-7 run the
 entries of ``acceptance.ACCEPTANCE_CHECKS``, the same table ``arcpi
 selftest`` runs.  Expensive intermediate results are cached at module level;
 everything here is deterministic exact arithmetic except wall-clock
@@ -99,10 +99,6 @@ def test_criterion_8_convergence_ladder(capsys):
         counts[a] < counts[b] for a, b in ((8, 16), (16, 32), (32, 46)))
     _report(capsys, 8, "matched digits strictly increase along the ladder",
             increasing and counts == EQ17_LADDER, f"{counts}")
-
-
-def test_criterion_9_parallel_determinism(capsys):
-    _run_check(capsys, 9)
 
 
 if __name__ == "__main__":

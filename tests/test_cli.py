@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -68,11 +67,34 @@ class TestPiCommand:
         assert int(record["matched_digits"]) == 41
 
     def test_workers_flag(self, capsys):
+        """``--workers`` is parsed and ignored.  Also with the certificate
+        forced to fail, it changes neither the report nor the modules
+        loaded: nothing imports ``multiprocessing``."""
         argv = ("pi", "--method", "gauss", "-L", "6", "-M", "6",
                 "--digits", "40")
         serial = run_json(capsys, *argv)
         parallel = run_json(capsys, *argv, "--workers", "2")
         assert serial["approx_decimal"] == parallel["approx_decimal"]
+
+        script = (
+            "import sys\n"
+            "from arcpi import cli, pi\n"
+            "pi._guard_digits = lambda terms: 0\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n")
+        argv = ["pi", "--method", "gauss", "-L", "4", "-M", "6",
+                "--digits", "50", "--format", "json"]
+        reports = []
+        for extra in ([], ["--workers", "4"]):
+            out = subprocess.run([sys.executable, "-c", script, *argv, *extra],
+                                 capture_output=True, text=True, timeout=60)
+            assert out.returncode == 0, out.stderr
+            assert out.stderr.strip() == "False"
+            record = json.loads(out.stdout)
+            del record["elapsed_ms"]
+            reports.append(record)
+        assert reports[0] == reports[1]
 
     def test_digits_beyond_reference_is_domain_error(self, capsys):
         code, _, err = run_cli(capsys, "pi", "-L", "1", "-M", "1",
@@ -98,8 +120,8 @@ def test_gauss_report_never_reduces(capsys, monkeypatch):
     """`pi --method gauss` certifies its digits from per-node floors: it
     builds no exact sum."""
     def build(*args, **kwargs):
-        raise AssertionError("pi_gauss called by the pi command")
-    monkeypatch.setattr(pi, "pi_gauss", build)
+        raise AssertionError("pairwise_sum called by the pi command")
+    monkeypatch.setattr(pi, "pairwise_sum", build)
     record = run_json(capsys, "pi", "--method", "gauss", "-L", "8", "-M", "8",
                       "--digits", "60")
     assert record["matched_digits"] == "50"
@@ -508,12 +530,9 @@ def cli_argvs(draw):
           "--workers", "3"])
 def test_fuzzed_argv_only_exits_with_a_defined_code(argv):
     """Any argv ends in exit 0, 2 (usage), 3 (domain) or 4 (integrity),
-    never in another exception.  The CPU count reads as one, so
-    ``--workers`` starts no process."""
+    never in another exception."""
     out, err = io.StringIO(), io.StringIO()
-    with pytest.MonkeyPatch.context() as mp, \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        mp.setattr(os, "cpu_count", lambda: 1)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = cli.main(argv)
         except SystemExit as exc:

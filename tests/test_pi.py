@@ -98,10 +98,6 @@ class TestGaussCombination:
                   for n in (4, 8, 16)}
         assert counts == {4: 28, 8: 50, 16: 95}
 
-    def test_workers_agree(self):
-        p = P(5, 5)
-        assert pi_gauss(p, workers=3) == pi_gauss(p)
-
     @pytest.mark.parametrize("p", [P(1, 0), P(3, 4), P(5, 2)])
     def test_pair_is_the_sum_of_reduced_terms(self, p):
         nodes = _gauss_nodes(p)
@@ -110,23 +106,6 @@ class TestGaussCombination:
         assert sum(F(num, den) for num, den in nodes) == pi_gauss(p) == \
             4 * sum(mult * arctan_closed_form(F(1, recip), p)
                     for mult, recip in GAUSS_TERMS)
-
-
-@pytest.mark.parametrize("cpus, workers, want", [
-    (8, 4, [4]),        # the request itself
-    (16, 50, [9]),      # capped by the nine terms
-    (2, 50, [2]),       # capped by the CPU count
-    (1, 4, []),         # one CPU: serial, no pool
-    (8, None, []),      # serial by default
-])
-def test_gauss_opens_at_most_one_pool(monkeypatch, pool_sizes, cpus, workers,
-                                      want):
-    monkeypatch.setattr(pi.os, "cpu_count", lambda: cpus)
-    p = P(3, 3)
-    serial = _gauss_nodes(p)
-    assert pool_sizes == []
-    assert _gauss_nodes(p, workers=workers) == serial
-    assert pool_sizes == want
 
 
 def _recording(fn, calls):
@@ -138,7 +117,8 @@ def _recording(fn, calls):
 
 class TestGaussExpansion:
     """The certified digits of ``gauss_expansion`` against the expansion of
-    the exact sum, ``pi_gauss``."""
+    the exact sum, ``pi_gauss``.  Every exact sum goes through
+    ``pairwise_sum``, so a run that records no call built none."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
@@ -151,18 +131,20 @@ class TestGaussExpansion:
         p = P(size, size)
         exact = decimal_expand(pi_gauss(p), 400)
         calls = []
-        monkeypatch.setattr(pi, "pi_gauss", _recording(pi_gauss, calls))
+        monkeypatch.setattr(pi, "pairwise_sum",
+                            _recording(pi.pairwise_sum, calls))
         assert gauss_expansion(p, 400) == exact
         assert calls == []
 
     def test_no_guard_falls_back_to_the_pair(self, monkeypatch):
+        p = P(4, 6)
+        want = decimal_expand(pi_gauss(p), 50)
         monkeypatch.setattr(pi, "_guard_digits", lambda terms: 0)
         calls = []
-        monkeypatch.setattr(pi, "pi_gauss", _recording(pi_gauss, calls))
-        p = P(4, 6)
-        got = gauss_expansion(p, 50, workers=3)
-        assert calls == [(p,)]
-        assert got == decimal_expand(pi_gauss(p), 50)
+        monkeypatch.setattr(pi, "_gauss_nodes",
+                            _recording(pi._gauss_nodes, calls))
+        assert gauss_expansion(p, 50) == want
+        assert calls == [(p,)]  # the fallback sums the nodes it holds
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("M", range(6))
@@ -178,7 +160,8 @@ class TestGaussExpansion:
 
     def test_exact_decimal_is_not_certified_as_truncated(self, monkeypatch):
         # stub nodes making every floored term exact and the sum 7/4: the
-        # floors alone cannot tell 1.75 from a value just above it
+        # floors alone cannot tell 1.75 from a value just above it, so the
+        # fallback sums the stub nodes
         mults = {recip: mult for mult, recip in GAUSS_TERMS}
 
         def nodes(x, p, ells):
@@ -187,10 +170,10 @@ class TestGaussExpansion:
 
         calls = []
         monkeypatch.setattr(pi, "closed_form_nodes", nodes)
-        monkeypatch.setattr(pi, "pi_gauss",
-                            _recording(lambda p, workers=None: F(7, 4), calls))
+        monkeypatch.setattr(pi, "pairwise_sum",
+                            _recording(pi.pairwise_sum, calls))
         got = gauss_expansion(P(1, 0), 5)
-        assert calls == [(P(1, 0),)]
+        assert len(calls) == 1
         assert got == decimal_expand(F(7, 4), 5)
         assert not got.truncated
 
