@@ -52,26 +52,30 @@ def closed_form_nodes(
     odd_lcm = lcm(1, 3, ..., 2K-1), x = num/den, w = num*(2l-1) + 2iL*den,
     norm = |w|**2 and acc is the Horner numerator of
     sum_{m=1..K} (odd_lcm/(2m-1)) num**(2m-1) Im(w**(2m-1)) norm**(2K-2m)
-    (module docstring).  No gcd is taken.
+    (module docstring).  The coefficients (odd_lcm/(2m-1)) num**(2m-1) do
+    not depend on l and are built once.  No gcd is taken.
     """
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
     k = p.inner_terms
     odd_lcm = math.lcm(*range(1, 2 * k, 2))
     num2 = num * num
+    coefs = []
+    num_pow = num  # num**(2m-1), carries the sign of x
+    for m in range(1, k + 1):
+        coefs.append(odd_lcm // (2 * m - 1) * num_pow)
+        num_pow *= num2
     nodes = []
     for ell in ells:
         re, im = num * (2 * ell - 1), two_l_den  # w**(2m-1)
         w2_re, w2_im = gaussian_pow(re, im, 2)
         norm = re * re + im * im
         norm2 = norm * norm
-        num_pow = num  # num**(2m-1), carries the sign of x
         acc = 0
-        for m in range(1, k + 1):
-            if m > 1:
+        for m, coef in enumerate(coefs):
+            if m:
                 re, im = re * w2_re - im * w2_im, re * w2_im + im * w2_re
-                num_pow *= num2
-            acc = acc * norm2 + odd_lcm // (2 * m - 1) * num_pow * im
+            acc = acc * norm2 + coef * im
         nodes.append((2 * acc, odd_lcm * norm ** (2 * k - 1)))
     return nodes
 

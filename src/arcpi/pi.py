@@ -23,10 +23,23 @@ published 1000-digit constant, and an independent Machin-formula
 computation with rigorous alternating-series error bounds.  The two must
 agree digit for digit or a ReferenceIntegrityError is raised; an
 approximation under test therefore never grades itself.
+
+The Machin terms come from ``arctan_taylor_reference``.  For x = p/q it
+keeps Taylor term k while |x|**(2k+1)/(2k+1) >= 10**-(n+5), tested in ints,
+and sums the K kept terms in one Horner pass in q**2 over the common
+denominator lcm(1, 3, ..., 2K-1) * q**(2K-1), the identity
+
+    sum_k (-1)**k x**(2k+1)/(2k+1)
+        = sum_k (-1)**k (odd_lcm/(2k+1)) p**(2k+1) q**(2(K-1-k))
+          / (odd_lcm * q**(2K-1)),
+
+so one gcd reduces the whole sum.  It uses nothing from ``arctan``,
+``kernels`` or ``quadrature``, the routes it grades.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -146,28 +159,82 @@ def pi_gauss(p: ComputationParams) -> Fraction:
     return pairwise_sum(_gauss_nodes(p))
 
 
-def arctan_taylor_reference(x: Fraction, n_digits: int) -> Fraction:
-    """arctan(x) for |x| < 1 by the alternating Taylor series.
+TAYLOR_MAX_BITS = 2**17  # ceiling on the reference's common denominator
 
-    Terms are summed until the remainder bound |x|**(2k+1)/(2k+1) drops
-    below 10**-(n_digits + 5), which the alternating-series estimate makes
-    a rigorous bound on |result - arctan(x)|.
+
+def _taylor_size_estimate(p: int, q: int,
+                          n_digits: int) -> tuple[float, float]:
+    """Upper estimates of the term count K and of the bits of the common
+    denominator odd_lcm * q**(2K-1) of ``arctan_taylor_reference(p/q)``,
+    from floats alone.
+
+    A kept term has |p|**(2k+1) * 10**(n+5) >= (2k+1) * q**(2k+1) >= q**(2k+1),
+    so (2k+1) * ln(q/|p|) <= (n+5) * ln(10) and 2K - 1 <= (n+5) * ln(10) /
+    ln(q/|p|).  ln(q/|p|) is taken as at least 1 - |p|/q, which stays
+    positive when the two logarithms round to the same float.  The odd lcm
+    is below lcm(1, ..., 2K-1) < 3**(2K-1), so the denominator has fewer
+    than (2K-1) * (bit_length(q) + log2(3)) bits.
+    """
+    a = abs(p)
+    log_ratio = max(math.log(q) - math.log(a), (q - a) / q)
+    odd_span = (n_digits + 5) * math.log(10) / log_ratio if log_ratio \
+        else math.inf  # 2K - 1
+    return (odd_span + 1) / 2, odd_span * (q.bit_length() + math.log2(3))
+
+
+def arctan_taylor_reference(x: Fraction, n_digits: int) -> Fraction:
+    """arctan(x) for |x| < 1 by the alternating Taylor series, exactly.
+
+    Stopping rule: with x = p/q, term k, (-1)**k x**(2k+1)/(2k+1), is kept
+    while |x|**(2k+1)/(2k+1) >= 10**-(n_digits + 5), that is while
+    |p|**(2k+1) * 10**(n_digits+5) >= (2k+1) * q**(2k+1), which is tested in
+    ints.  The terms shrink, so the first term that fails bounds the
+    alternating remainder: |result - arctan(x)| < 10**-(n_digits + 5).
+
+    Sum: the K kept terms share the denominator odd_lcm * q**(2K-1), with
+    odd_lcm = lcm(1, 3, ..., 2K-1).  One Horner pass in q**2 builds the
+    numerator, acc = acc * q**2 + (-1)**k c_k with c_k = odd_lcm/(2k+1) *
+    p**(2k+1).  Each c_k comes from c_(k-1) * (2k-1) * p**2 // (2k+1), an
+    exact division since c_(k-1) * (2k-1) = odd_lcm * p**(2k-1), so every
+    step multiplies a big int by small ones only.  The result is the reduced
+    ``Fraction`` of the term-by-term sum, with one gcd in all.
+
+    A request whose denominator is estimated past ``TAYLOR_MAX_BITS`` bits
+    (|x| near 1, a huge q, or a huge n_digits) raises DomainError before
+    any big-int work.
     """
     if abs(x) >= 1:
         raise DomainError("Taylor reference needs |x| < 1")
     if n_digits < 1:
         raise ValueError("n_digits must be >= 1")
-    threshold = Fraction(1, 10 ** (n_digits + 5))
-    total = Fraction(0)
-    power = x          # x**(2k+1)
-    x2 = x * x
-    k = 0
-    while abs(power) / (2 * k + 1) >= threshold:
-        term = power / (2 * k + 1)
-        total += -term if k % 2 else term
-        power *= x2
-        k += 1
-    return total
+    p, q = x.numerator, x.denominator
+    if p == 0:
+        return Fraction(0)
+    terms, bits = _taylor_size_estimate(p, q, n_digits)
+    if bits > TAYLOR_MAX_BITS:
+        raise DomainError(
+            f"Taylor reference to {n_digits} digits at this x needs about "
+            f"{terms:.3g} terms over a {bits:.3g}-bit denominator, past the "
+            f"{TAYLOR_MAX_BITS}-bit ceiling")
+    a = abs(p)
+    a2, q2 = a * a, q * q
+    lhs, rhs = a * 10 ** (n_digits + 5), q  # the rule's two sides at term K
+    K = 0
+    while lhs >= (2 * K + 1) * rhs:
+        lhs *= a2
+        rhs *= q2
+        K += 1
+    if K == 0:
+        return Fraction(0)
+    odd_lcm = math.lcm(*range(1, 2 * K, 2))
+    p2 = p * p
+    c = odd_lcm * p  # c_k, carries the sign of x
+    acc = 0
+    for k in range(K):
+        if k:
+            c = c * (2 * k - 1) * p2 // (2 * k + 1)
+        acc = acc * q2 + (-c if k % 2 else c)
+    return Fraction(acc, odd_lcm * q ** (2 * K - 1))
 
 
 @lru_cache(maxsize=None)

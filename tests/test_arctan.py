@@ -173,6 +173,43 @@ def test_first_digits_at_one_fifth():
     assert abs(value - reference) < F(1, 10**10)
 
 
+def closed_form_nodes_reference(x: F, p: P, ells) -> list[tuple[int, int]]:
+    """The closed-form nodes with each term's coefficient
+    (odd_lcm/(2m-1)) num**(2m-1) formed inside the node loop, as before the
+    production loop built them once per call."""
+    num, den = x.numerator, x.denominator
+    two_l_den = 2 * p.L * den
+    k = p.inner_terms
+    odd_lcm = math.lcm(*range(1, 2 * k, 2))
+    num2 = num * num
+    nodes = []
+    for ell in ells:
+        re, im = num * (2 * ell - 1), two_l_den
+        w2_re, w2_im = re * re - im * im, 2 * re * im
+        norm = re * re + im * im
+        norm2 = norm * norm
+        num_pow = num
+        acc = 0
+        for m in range(1, k + 1):
+            if m > 1:
+                re, im = re * w2_re - im * w2_im, re * w2_im + im * w2_re
+                num_pow *= num2
+            acc = acc * norm2 + odd_lcm // (2 * m - 1) * num_pow * im
+        nodes.append((2 * acc, odd_lcm * norm ** (2 * k - 1)))
+    return nodes
+
+
+@pytest.mark.parametrize("L, M", [(1, 0), (3, 5), (8, 8), (46, 1), (5, 46),
+                                  (46, 46)])
+@pytest.mark.parametrize("x", [F(0), F(1), F(-7, 3), F(1, 5257),
+                               F(139, 10567)])
+def test_nodes_equal_the_per_node_coefficient_loop(x, L, M):
+    """The same unreduced (num, den) pairs, not merely equal values."""
+    p, ells = P(L, M), range(1, L + 1)
+    assert closed_form_nodes(x, p, ells) == \
+        closed_form_nodes_reference(x, p, ells)
+
+
 class TestBlocksAndWorkers:
     """Blocks of the outer sum add up to the whole closed form."""
 

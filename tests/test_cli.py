@@ -235,6 +235,22 @@ class TestArctanCommand:
         assert exc.value.code == 2
         assert "zero denominator" in capsys.readouterr().err
 
+    def test_runaway_series_reference_refused_promptly(self):
+        # |x| near 1 needs ~40,000 Taylor terms at the default 30 digits;
+        # the reference refuses up front instead of running for minutes
+        out = subprocess.run(
+            [sys.executable, "-m", "arcpi.cli", "arctan", "--x", "999/1000"],
+            capture_output=True, text=True, timeout=10)
+        assert out.returncode == 3, out.stdout + out.stderr
+        assert "error:" in out.stderr and "ceiling" in out.stderr
+
+    def test_near_one_within_the_ceiling_is_graded(self):
+        out = subprocess.run(
+            [sys.executable, "-m", "arcpi.cli", "arctan", "--x", "99/100"],
+            capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert "matched digits vs series reference:" in out.stdout
+
 
 class TestDerivCommand:
     def test_exact_formula(self, capsys):
@@ -524,6 +540,7 @@ def cli_argvs(draw):
 @settings(max_examples=150, deadline=None)
 @given(cli_argvs())
 @example(["arctan", "--x", "1/0"])
+@example(["arctan", "--x", "999/1000"])
 @example(["deriv", "-m", "2", "--t", "-3/0", "--compare", "oracle"])
 @example(["deriv", "-m", "2", "--t", str(10**400), "--formula", "eq2"])
 @example(["pi", "--method", "gauss", "-L", "2", "-M", "2", "--digits", "20",

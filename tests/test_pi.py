@@ -1,5 +1,6 @@
 """Pi evaluators, the dual-sourced reference, and digit measurement."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from arcpi.exact import decimal_expand, matching_digits
 from arcpi.pi import (
     GAUSS_TERMS,
     METHODS,
+    TAYLOR_MAX_BITS,
     _gauss_nodes,
     arctan_taylor_reference,
     gauss_expansion,
@@ -178,6 +180,26 @@ class TestGaussExpansion:
         assert not got.truncated
 
 
+def taylor_reference_by_terms(x: F, n_digits: int) -> F:
+    """The Taylor reference summed term by term into one ``Fraction``.
+
+    The loop ``arctan_taylor_reference`` replaced: the same stopping rule,
+    with each term added by ``Fraction +=``, so each addition reduces by a
+    gcd.
+    """
+    threshold = F(1, 10 ** (n_digits + 5))
+    total = F(0)
+    power = x          # x**(2k+1)
+    x2 = x * x
+    k = 0
+    while abs(power) / (2 * k + 1) >= threshold:
+        term = power / (2 * k + 1)
+        total += -term if k % 2 else term
+        power *= x2
+        k += 1
+    return total
+
+
 class TestTaylorReference:
     def test_zero(self):
         assert arctan_taylor_reference(F(0), 10) == 0
@@ -201,6 +223,61 @@ class TestTaylorReference:
         a = arctan_taylor_reference(F(1, 3), 20)
         b = arctan_taylor_reference(F(1, 3), 40)
         assert abs(a - b) < F(1, 10**23)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    @pytest.mark.parametrize("x", [F(0), F(1, 5), F(-1, 5), F(1, 239),
+                                   F(-1, 239), F(1, 3)])
+    def test_equals_the_term_by_term_sum(self, x, n):
+        assert arctan_taylor_reference(x, n) == taylor_reference_by_terms(x, n)
+
+    @pytest.mark.parametrize("n", [1005, 1010, 1020])
+    @pytest.mark.parametrize("x", [F(1, 5), F(1, 239)])
+    def test_machin_shapes_equal_the_term_by_term_sum(self, x, n):
+        # the arguments and depths reference_pi(1000) asks for
+        assert arctan_taylor_reference(x, n) == taylor_reference_by_terms(x, n)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 10**6), st.data(), st.integers(1, 80))
+    def test_hypothesis_equals_the_term_by_term_sum(self, q, data, n):
+        p = data.draw(st.integers(-(q // 2), q // 2))  # |x| <= 1/2
+        x = F(p, q)
+        assert arctan_taylor_reference(x, n) == taylor_reference_by_terms(x, n)
+
+    def test_argument_below_the_precision_gives_zero(self):
+        # no term reaches 10**-(n+5): the sum is empty, as term by term
+        x = F(1, 10**40)
+        assert arctan_taylor_reference(x, 30) == 0 == \
+            taylor_reference_by_terms(x, 30)
+
+    @pytest.mark.parametrize("x, n", [
+        (F(999, 1000), 30),                  # |x| near 1: ~40,000 terms
+        (F(10**500 - 1, 10**500), 1),        # 1 - |x| underflows a float
+        (F(1, 10**40000 + 1), 10**6),        # a huge q at a huge depth
+        (F(1, 5), 10**7),                    # a huge depth
+    ])
+    def test_runaway_series_refused_up_front(self, x, n):
+        # each case would run for minutes or more if any of it were summed
+        with pytest.raises(DomainError, match=f"{TAYLOR_MAX_BITS}-bit"):
+            arctan_taylor_reference(x, n)
+
+    def test_ceiling_admits_the_machin_reference_with_guard_room(self):
+        # reference_pi(1000) asks for 1005 digits and doubles its guard if
+        # a digit boundary falls inside the error interval
+        for x in (F(1, 5), F(1, 239)):
+            assert pi._taylor_size_estimate(
+                x.numerator, x.denominator, 8000)[1] < TAYLOR_MAX_BITS
+
+    @pytest.mark.parametrize("x, n", [(F(1, 5), 1005), (F(1, 239), 1020),
+                                      (F(99, 100), 30), (F(-2, 3), 500)])
+    def test_estimate_bounds_the_actual_sum(self, x, n):
+        p, q = x.numerator, x.denominator
+        terms, bits = pi._taylor_size_estimate(p, q, n)
+        k, power, threshold = 0, abs(x), F(1, 10 ** (n + 5))
+        while power >= (2 * k + 1) * threshold:
+            k, power = k + 1, power * x * x
+        odd_lcm = math.lcm(*range(1, 2 * k, 2))
+        assert k <= terms
+        assert (odd_lcm * q ** (2 * k - 1)).bit_length() <= bits
 
 
 class TestReference:
