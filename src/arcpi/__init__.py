@@ -2,7 +2,6 @@
 high-precision pi computation with verified digit counting."""
 
 from .errors import (
-    ComparisonError,
     DomainError,
     OrderError,
     PoleError,
@@ -23,7 +22,6 @@ from .pi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonError",
     "ComputationParams",
     "DomainError",
     "OrderError",

@@ -34,13 +34,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .arctan import arctan_closed_form
-from .errors import (
-    ComparisonError,
-    DomainError,
-    OrderError,
-    PoleError,
-    ReferenceIntegrityError,
-)
+from .errors import DomainError, OrderError, ReferenceIntegrityError
 from .exact import decimal_expand, exact_str, matching_digits, parse_rational
 from .kernels import (
     arctan_deriv,
@@ -143,9 +137,13 @@ def _run_arctan(args: argparse.Namespace) -> int:
     approx = str(expansion) if value else "0"
     matched: int | None = None
     if 0 < abs(args.x) < 1:
-        reference = arctan_taylor_reference(args.x, args.digits)
-        matched = matching_digits(expansion,
-                                  decimal_expand(reference, args.digits))
+        try:
+            reference = arctan_taylor_reference(args.x, args.digits)
+        except DomainError as exc:  # past the series' ceiling: value only
+            print(f"note: no series reference: {exc}", file=sys.stderr)
+        else:
+            matched = matching_digits(
+                expansion, decimal_expand(reference, args.digits))
 
     lines = [exact or approx]
     if matched is not None:
@@ -436,8 +434,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ReferenceIntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INTEGRITY_EXIT
-    except (OrderError, DomainError, PoleError, ComparisonError,
-            ZeroDivisionError, OverflowError, ValueError) as exc:
+    # OrderError and DomainError are ValueErrors, PoleError a ZeroDivisionError
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
 

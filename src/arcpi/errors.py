@@ -18,10 +18,6 @@ class DomainError(ValueError):
     """Argument outside the domain a function is defined on."""
 
 
-class ComparisonError(ValueError):
-    """Digit comparison attempted on incompatible decimal expansions."""
-
-
 class ReferenceIntegrityError(RuntimeError):
     """Two independent routes disagree: the two sources of reference
     digits, or two evaluation paths that must give the same value.

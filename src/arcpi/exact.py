@@ -13,9 +13,10 @@ turned into a ``Fraction``.
 Every sum across nodes is ``pairwise_sum`` of the unreduced ``(num, den)``
 node pairs: it reduces each pair once, then adds them pairwise.
 ``decimal_expand`` also takes an unreduced pair, so a value that only feeds
-an expansion needs no gcd.  Decimal strings come from
-``int_to_decimal`` and go back through ``decimal_to_int``, both free of
-python's int/str digit limit.
+an expansion needs no gcd.  It is also the one way digits are certified:
+every value between two values with equal expansions has that expansion
+too.  Decimal strings come from ``int_to_decimal`` and go back through
+``decimal_to_int``, both free of python's int/str digit limit.
 
 Every value here is immutable and every operation is a pure function.
 """
@@ -26,8 +27,6 @@ import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
-
-from .errors import ComparisonError
 
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
@@ -190,6 +189,17 @@ def decimal_expand(
     ``r`` is a ``Fraction`` or a ``(num, den)`` pair of ints with den > 0,
     reduced or not: the digits depend only on the value, so a pair never
     needs the gcd that building a ``Fraction`` would take.
+
+    Certified digits: if lo <= hi have equal expansions (the same sign,
+    digits and ``truncated``), every v in [lo, hi] has that expansion too.
+    Equal signs put lo, v and hi on one side of 0, where |v| lies between
+    |lo| and |hi| and the truncated digits floor(|v| * 10**n) are monotone
+    in |v|, so they are equal for all three.  If both ends are truncated,
+    |v| * 10**n lies strictly above those digits and below them plus one,
+    so v is truncated as well; if neither is, lo == hi == v.  So the digits
+    of an interval [lo, hi] are those of ``decimal_expand(lo, n)`` when it
+    equals ``decimal_expand(hi, n)``, and ``matching_digits`` of the two
+    counts the leading digits that every value in it shares.
     """
     if n_fraction_digits < 1:
         raise ValueError("need at least one fraction digit")
@@ -211,12 +221,10 @@ def matching_digits(a: DecimalExpansion, b: DecimalExpansion) -> int:
     """Length of the common leading-digit prefix of two expansions.
 
     The decimal point is ignored, so the count includes integer digits.
-    Expansions whose integer parts have different lengths share no leading
-    significant digit and count 0.
+    Expansions of different signs, or whose integer parts have different
+    lengths, share no leading significant digit and count 0.
     """
-    if a.sign != b.sign:
-        raise ComparisonError("cannot compare expansions of different sign")
-    if len(a.integer_digits) != len(b.integer_digits):
+    if a.sign != b.sign or len(a.integer_digits) != len(b.integer_digits):
         return 0
     count = 0
     for da, db in zip(a.digits(), b.digits()):

@@ -13,14 +13,15 @@ The Gauss value is stated once, as a list of 9 * L exact node fractions
 (``_gauss_nodes``), and ``pi_gauss`` adds them with ``exact.pairwise_sum``.
 ``measure`` grades a ``DecimalExpansion``.  For ``gauss`` it comes from
 ``gauss_expansion``, which floors each node at a scaled precision and
-certifies the digits from the floor errors; the exact sum of those same
-nodes (a 711 kbit denominator at L = M = 46) is built only when that
-certificate cannot decide.  The public ``pi_*`` evaluators return
+takes the expansion that both ends of the floor-error interval share; the
+exact sum of those same nodes (a 711 kbit denominator at L = M = 46) is
+built only when the two ends differ.  The public ``pi_*`` evaluators return
 reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
 published 1000-digit constant, and an independent Machin-formula
-computation with rigorous alternating-series error bounds.  The two must
+computation with rigorous alternating-series error bounds, whose digits
+are those that both ends of its error interval share.  The two must
 agree digit for digit or a ReferenceIntegrityError is raised; an
 approximation under test therefore never grades itself.
 
@@ -87,7 +88,6 @@ class PiResult:
 
     expansion: DecimalExpansion
     method: str
-    params: ComputationParams
     matched_digits: int
     elapsed_ms: float
 
@@ -128,28 +128,20 @@ def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
 
     Bound: let s = 10**(n_digits + g) and S the sum of the n floors
     (num * s) // den.  A floor with a positive denominator errs by a
-    fraction in [0, 1), so S <= v * s < S + n.  The wanted digits are
-    D = floor(v * 10**n_digits) = floor(v * s / 10**g).
-    From S <= v * s, D >= S // 10**g.  From v * s < S + n, an integer,
-    D <= (S + n - 1) // 10**g.  When the two ends agree, D is exact.  When
-    moreover S % 10**g != 0, then v * s >= S > D * 10**g, so v * 10**n_digits
-    is no integer and the expansion is truncated.  S >= 0 makes v >= 0 and
-    the sign '+'.  All three hold, so the expansion of S / s to n_digits
-    digits (D, truncated) is that of v.
+    fraction in [0, 1), so v lies in [S / s, (S + n) / s].  When the two
+    ends have equal expansions, so does v (the rule in ``decimal_expand``).
 
-    When a test fails, the digits come from the exact sum of the same
-    nodes instead, ``pairwise_sum(nodes)``, which is ``pi_gauss(p)``; the
-    nodes are built once either way.  With g = len(str(n)) + 10 guard
-    digits, an interval of width n straddles a multiple of 10**g with a
-    chance under 1e-10.
+    Otherwise the digits come from the exact sum of the same nodes,
+    ``pairwise_sum(nodes)``, which is ``pi_gauss(p)``; the nodes are built
+    once either way.  With g = len(str(n)) + 10 guard digits, an interval
+    of width n straddles a digit boundary with a chance under 1e-10.
     """
     nodes = _gauss_nodes(p)
-    guard = 10 ** _guard_digits(len(nodes))
-    scale = 10**n_digits * guard
+    scale = 10 ** (n_digits + _guard_digits(len(nodes)))
     total = sum(num * scale // den for num, den in nodes)
-    if (total >= 0 and total % guard
-            and total // guard == (total + len(nodes) - 1) // guard):
-        return decimal_expand((total, scale), n_digits)
+    low = decimal_expand((total, scale), n_digits)
+    if low == decimal_expand((total + len(nodes), scale), n_digits):
+        return low
     return decimal_expand(pairwise_sum(nodes), n_digits)
 
 
@@ -273,23 +265,20 @@ def _check_reference_digits(n_digits: int) -> None:
 def reference_pi(n_digits: int) -> DecimalExpansion:
     """Verified reference expansion of pi to n_digits fraction digits.
 
-    The Machin value is recomputed with enough guard digits that its whole
-    error interval truncates to the same n_digits (so the truncation of pi
-    itself is certain), then checked digit for digit against the embedded
-    published constant.  Any disagreement is fatal.
+    The Machin value is recomputed with enough guard digits that both ends
+    of its error interval have the same expansion to n_digits, which pi
+    inside it then shares (the rule in ``decimal_expand``).  That expansion
+    is checked digit for digit against the embedded published constant.
+    Any disagreement is fatal.
     """
     _check_reference_digits(n_digits)
     guard = 5
-    scale = 10**n_digits
     while True:
         value, bound = _machin_with_bound(n_digits + guard)
-        lo, hi = value - bound, value + bound
-        lo_floor = lo.numerator * scale // lo.denominator
-        hi_floor = hi.numerator * scale // hi.denominator
-        if lo_floor == hi_floor:
+        expansion = decimal_expand(value - bound, n_digits)
+        if expansion == decimal_expand(value + bound, n_digits):
             break
         guard *= 2  # digit boundary inside the interval; widen and retry
-    expansion = decimal_expand(value, n_digits)
     if expansion.digits() != _embedded_digits()[: n_digits + 1]:
         raise ReferenceIntegrityError(
             "Machin computation disagrees with the embedded pi constant")
@@ -321,7 +310,6 @@ def measure(method: str, p: ComputationParams, n_digits: int) -> PiResult:
     return PiResult(
         expansion=expansion,
         method=method,
-        params=p,
         matched_digits=matching_digits(expansion, reference_pi(n_digits)),
         elapsed_ms=elapsed_ms,
     )

@@ -235,14 +235,29 @@ class TestArctanCommand:
         assert exc.value.code == 2
         assert "zero denominator" in capsys.readouterr().err
 
-    def test_runaway_series_reference_refused_promptly(self):
+    RUNAWAY_EXACT = "98482826560039992000/124850134932026994001"
+
+    @staticmethod
+    def _run_runaway(*extra):
         # |x| near 1 needs ~40,000 Taylor terms at the default 30 digits;
-        # the reference refuses up front instead of running for minutes
+        # the reference refuses up front instead of running for minutes,
+        # and the value is printed ungraded
         out = subprocess.run(
-            [sys.executable, "-m", "arcpi.cli", "arctan", "--x", "999/1000"],
+            [sys.executable, "-m", "arcpi.cli", "arctan", "--x", "999/1000",
+             "-L", "1", "-M", "2", "--exact", *extra],
             capture_output=True, text=True, timeout=10)
-        assert out.returncode == 3, out.stdout + out.stderr
-        assert "error:" in out.stderr and "ceiling" in out.stderr
+        assert out.returncode == 0, out.stdout + out.stderr
+        assert "note: no series reference:" in out.stderr
+        assert "ceiling" in out.stderr
+        return out.stdout
+
+    def test_runaway_series_reference_refused_promptly(self):
+        assert self._run_runaway().splitlines() == [self.RUNAWAY_EXACT]
+
+    def test_runaway_series_reference_json_has_no_matched_digits(self):
+        record = json.loads(self._run_runaway("--format", "json"))
+        assert record["exact"] == self.RUNAWAY_EXACT
+        assert "matched_digits" not in record
 
     def test_near_one_within_the_ceiling_is_graded(self):
         out = subprocess.run(

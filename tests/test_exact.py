@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arcpi.exact import (
-    ComparisonError,
     decimal_expand,
     decimal_to_int,
     exact_str,
@@ -192,6 +191,30 @@ def test_expand_round_trip_error_bound(r, n):
     assert e.truncated == (read_back != r)
 
 
+# signed values that are 0, exact decimals (denominator 2**i * 5**j) or any
+# rational, the three kinds whose expansions end differently
+interval_ends = st.one_of(
+    st.just(F(0)),
+    st.builds(lambda k, i, j: F(k, 2**i * 5**j),
+              st.integers(-10**6, 10**6), st.integers(0, 6),
+              st.integers(0, 6)),
+    rationals)
+
+
+@settings(max_examples=500)
+@given(interval_ends, st.fractions(0, 2, max_denominator=100),
+       st.fractions(0, 1, max_denominator=1000),
+       st.integers(min_value=1, max_value=8))
+def test_equal_end_expansions_hold_for_every_value_between(lo, width, t, n):
+    """The certificate rule of ``decimal_expand``: when lo <= hi expand
+    alike, so does every v in [lo, hi].  hi - lo is of order 10**-n, so
+    the two ends often expand alike."""
+    delta = width / 10**n
+    expansion = decimal_expand(lo, n)
+    if expansion == decimal_expand(lo + delta, n):
+        assert decimal_expand(lo + t * delta, n) == expansion
+
+
 class TestMatchingDigits:
     def test_common_prefix(self):
         a = decimal_expand(F(314159, 100000), 5)
@@ -217,11 +240,10 @@ class TestMatchingDigits:
         b = decimal_expand(F(123, 100), 2)  # 1.23
         assert matching_digits(a, b) == 0
 
-    def test_sign_mismatch_raises(self):
+    def test_sign_mismatch_counts_zero(self):
         a = decimal_expand(F(1, 3), 3)
         b = decimal_expand(F(-1, 3), 3)
-        with pytest.raises(ComparisonError):
-            matching_digits(a, b)
+        assert matching_digits(a, b) == 0
 
 
 class TestPairwiseSum:

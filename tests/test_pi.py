@@ -303,6 +303,34 @@ class TestReference:
         with pytest.raises(DomainError):
             reference_pi(n)
 
+    @pytest.fixture
+    def fresh_reference_caches(self):
+        # the stubbed bounds below must not reach, or come from, the caches
+        # other tests share
+        caches = (pi.reference_pi, pi._machin_with_bound)
+        for cached in caches:
+            cached.cache_clear()
+        yield
+        for cached in caches:
+            cached.cache_clear()
+
+    def test_straddling_interval_widens_and_retries(
+            self, monkeypatch, fresh_reference_caches):
+        # a bound of 10**-n puts a digit boundary inside every interval
+        # until the guard reaches 20
+        n, guards = 50, []
+        machin_with_bound = pi._machin_with_bound
+
+        def stub(n_digits):
+            guard = n_digits - n
+            guards.append(guard)
+            value, bound = machin_with_bound(n_digits)
+            return value, F(1, 10**n) if guard < 20 else bound
+
+        monkeypatch.setattr(pi, "_machin_with_bound", stub)
+        assert reference_pi(n).digits() == pi._embedded_digits()[: n + 1]
+        assert guards == [5, 10, 20]
+
 
 class TestMeasure:
     def test_coarse_run(self):
