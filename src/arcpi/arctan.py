@@ -21,7 +21,9 @@ that equality is the library's central invariant.
 Both accumulate each node as an unreduced int pair, and
 ``exact.pairwise_sum`` reduces each node once and adds the nodes.  The
 closed form puts each node over one common denominator and builds its
-numerator by Horner's rule (``closed_form_nodes``).  The derivative form
+numerator by one Horner pass in conj(w)**2, reduced modulo the quadratic
+that conj(w)**2 solves, so each inner term costs two multiplications by
+node-sized ints and one addition (``closed_form_nodes``).  The derivative form
 asks each node once for all its orders, and ``kernels.arctan_derivs_scaled``
 streams them as unreduced int pairs, which the rule adds per node by an lcm
 add (``arcpi.quadrature``).
@@ -50,13 +52,27 @@ def closed_form_nodes(
 
     Node l is 2 * acc / (odd_lcm * norm**(2K-1)), where
     odd_lcm = lcm(1, 3, ..., 2K-1), x = num/den, w = num*(2l-1) + 2iL*den,
-    norm = |w|**2 and acc is the Horner numerator of
-    sum_{m=1..K} (odd_lcm/(2m-1)) num**(2m-1) Im(w**(2m-1)) norm**(2K-2m)
-    (module docstring).  The coefficients (odd_lcm/(2m-1)) num**(2m-1) do
-    not depend on l and are built once.  No gcd is taken.
+    norm = |w|**2 and
+
+        acc = sum_{m=1..K} c_m Im(w**(2m-1)) norm**(2K-2m),
+        c_m = (odd_lcm/(2m-1)) num**(2m-1)
+
+    (module docstring).  The c_m do not depend on l and are built once.
+
+    Since norm = w * conj(w) is real, Im(w**(2m-1)) norm**(2K-2m) =
+    Im(h * Y**(K-m)) with h = w**(2K-1) and Y = conj(w)**2, so
+    acc = Im(h * C(Y)) for the integer polynomial C(Y) = sum_m c_m Y**(K-m).
+    Y is a root of Y**2 - t*Y + N, with t = 2 Re(w**2) and N = norm**2, so
+    C(Y) = a + b*Y for the ints a, b that one Horner pass reduced modulo
+    that polynomial leaves: (a + b*Y) * Y + c = (c - b*N) + (a + b*t) * Y.
+    Each coefficient costs two multiplications by the node-sized t and N
+    and one addition; the big c_m are never multiplied.  With w**2 = u + iv
+    (so Y = u - iv) and h = hr + i*hi, acc = hi * (a + b*u) - hr * b * v.
+    K = 1 needs no case: then a = c_1, b = 0 and h = w.  No gcd is taken.
     """
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
+    im2 = two_l_den * two_l_den  # Im(w)**2, the same at every node
     k = p.inner_terms
     odd_lcm = math.lcm(*range(1, 2 * k, 2))
     num2 = num * num
@@ -67,15 +83,16 @@ def closed_form_nodes(
         num_pow *= num2
     nodes = []
     for ell in ells:
-        re, im = num * (2 * ell - 1), two_l_den  # w**(2m-1)
-        w2_re, w2_im = gaussian_pow(re, im, 2)
-        norm = re * re + im * im
-        norm2 = norm * norm
-        acc = 0
-        for m, coef in enumerate(coefs):
-            if m:
-                re, im = re * w2_re - im * w2_im, re * w2_im + im * w2_re
-            acc = acc * norm2 + coef * im
+        re = num * (2 * ell - 1)
+        re2 = re * re
+        u, v = re2 - im2, 2 * re * two_l_den  # w**2
+        norm = re2 + im2
+        t, n = 2 * u, norm * norm
+        a = b = 0  # C(Y) = a + b*Y
+        for c in coefs:
+            a, b = c - b * n, a + b * t
+        hr, hi = gaussian_pow(re, two_l_den, 2 * k - 1)  # h = w**(2K-1)
+        acc = hi * (a + b * u) - hr * b * v
         nodes.append((2 * acc, odd_lcm * norm ** (2 * k - 1)))
     return nodes
 

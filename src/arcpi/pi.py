@@ -113,34 +113,62 @@ def _gauss_nodes(p: ComputationParams) -> list[tuple[int, int]]:
             for n, d in closed_form_nodes(Fraction(1, recip), p, ells)]
 
 
-def _guard_digits(terms: int) -> int:
-    """Guard digits for a sum of ``terms`` floored node terms: room for
-    the floor errors, and ten digits more."""
-    return len(str(terms)) + 10
+def _guard_digits(width: int) -> int:
+    """Guard digits for a certificate interval ``width`` units of 1/s wide:
+    room for the width, and ten digits more."""
+    return len(str(width)) + 10
+
+
+def _leading_floor(num: int, den: int, scale: int) -> int:
+    """A floor q of num * scale / den, den > 0, from the leading bits of
+    num and den, with q - 1 < num * scale / den < q + 2.
+
+    q = ((num >> k) * scale) // (den >> k), where k is the largest shift
+    that leaves den >> k >= 2**(bits(scale) + 4 + D), with
+    D = max(0, bits(num) - bits(den) + 1); k = 0 when den is smaller
+    (then q is the exact floor).
+
+    Proof: with num = (num' + e1) * 2**k and den = (den' + e2) * 2**k,
+    e1 and e2 in [0, 1), the truncation moves num / den by
+    num'/den' - num/den = (num/den * e2 - e1) / den', whose size is
+    below (|num/den| + 1) / den'.  |num| < 2**bits(num) and
+    den >= 2**(bits(den) - 1) give |num/den| < 2**D, so |num/den| + 1
+    <= 2**(D + 1), while den' >= 2**(bits(scale) + 4 + D) > scale *
+    2**(4 + D).  The scaled move is therefore below 1/8, and the floor
+    of num' * scale / den' adds less than 1 more.
+    """
+    margin = scale.bit_length() + 5 + max(
+        0, num.bit_length() - den.bit_length() + 1)
+    k = max(0, den.bit_length() - margin)
+    return (num >> k) * scale // (den >> k)
 
 
 def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
-    """``decimal_expand(pi_gauss(p), n_digits)``, certified from exact
-    per-node floors so that the exact sum is rarely built.
+    """``decimal_expand(pi_gauss(p), n_digits)``, certified from per-node
+    floors so that the exact sum is rarely built.
 
     Value: v = pi_gauss(p) is the sum of the n = 9 * L node fractions
     num / den of ``_gauss_nodes``, every denominator positive.
 
     Bound: let s = 10**(n_digits + g) and S the sum of the n floors
-    (num * s) // den.  A floor with a positive denominator errs by a
-    fraction in [0, 1), so v lies in [S / s, (S + n) / s].  When the two
-    ends have equal expansions, so does v (the rule in ``decimal_expand``).
+    ``_leading_floor(num, den, s)``.  Each errs from num * s / den by
+    less than 1 below and 2 above, so v lies in [(S - n) / s, (S + 2n) / s].
+    When the two ends have equal expansions, so does v (the rule in
+    ``decimal_expand``).  A floor reads only the leading bits of its node:
+    at L = M = 46 each 1,370-bit quotient comes from a divisor of about
+    1,380 bits, not from the 2,450-bit denominator.
 
     Otherwise the digits come from the exact sum of the same nodes,
     ``pairwise_sum(nodes)``, which is ``pi_gauss(p)``; the nodes are built
-    once either way.  With g = len(str(n)) + 10 guard digits, an interval
-    of width n straddles a digit boundary with a chance under 1e-10.
+    once either way.  With g = len(str(3n)) + 10 guard digits, an interval
+    of width 3n straddles a digit boundary with a chance under 1e-10.
     """
     nodes = _gauss_nodes(p)
-    scale = 10 ** (n_digits + _guard_digits(len(nodes)))
-    total = sum(num * scale // den for num, den in nodes)
-    low = decimal_expand((total, scale), n_digits)
-    if low == decimal_expand((total + len(nodes), scale), n_digits):
+    n = len(nodes)
+    scale = 10 ** (n_digits + _guard_digits(3 * n))
+    total = sum(_leading_floor(num, den, scale) for num, den in nodes)
+    low = decimal_expand((total - n, scale), n_digits)
+    if low == decimal_expand((total + 2 * n, scale), n_digits):
         return low
     return decimal_expand(pairwise_sum(nodes), n_digits)
 

@@ -103,8 +103,9 @@ def _corrected_midpoint(
             if wn:  # odd orders of the all-order form weigh 0
                 tn, td = wn * vn, wd * vd
                 g = gcd(den, td)
-                num = num * (td // g) + tn * (den // g)
-                den *= td // g
+                step = td // g
+                num = num * step + tn * (den // g)
+                den *= step
         node_sums.append((num, den))
     return pairwise_sum(node_sums)
 

@@ -174,9 +174,10 @@ def test_first_digits_at_one_fifth():
 
 
 def closed_form_nodes_reference(x: F, p: P, ells) -> list[tuple[int, int]]:
-    """The closed-form nodes with each term's coefficient
-    (odd_lcm/(2m-1)) num**(2m-1) formed inside the node loop, as before the
-    production loop built them once per call."""
+    """The closed-form nodes by the Horner loop in norm**2 that the
+    production code ran before its reduced pass in conj(w)**2: every term
+    steps w**(2m-1) forward by w**2 and multiplies it by its coefficient
+    (odd_lcm/(2m-1)) num**(2m-1), formed here inside the node loop."""
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
     k = p.inner_terms
@@ -205,6 +206,24 @@ def closed_form_nodes_reference(x: F, p: P, ells) -> list[tuple[int, int]]:
                                F(139, 10567)])
 def test_nodes_equal_the_per_node_coefficient_loop(x, L, M):
     """The same unreduced (num, den) pairs, not merely equal values."""
+    p, ells = P(L, M), range(1, L + 1)
+    assert closed_form_nodes(x, p, ells) == \
+        closed_form_nodes_reference(x, p, ells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fractions(min_value=-40, max_value=40, max_denominator=50000),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=600))
+@example(F(0), 3, 600)
+@example(F(0), 1, 0)
+@example(F(-1, 485298), 1, 1)
+@example(F(-39, 2), 2, 0)
+@example(F(7, 3), 3, 599)
+@example(F(-5257), 1, 250)
+def test_nodes_equal_the_norm_horner_loop_on_random_shapes(x, L, M):
+    """The reduced pass gives the same unreduced (num, den) pairs as the
+    Horner loop in norm**2, at one to three nodes and up to 301 terms."""
     p, ells = P(L, M), range(1, L + 1)
     assert closed_form_nodes(x, p, ells) == \
         closed_form_nodes_reference(x, p, ells)

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcpi import pi
 from arcpi.errors import DomainError
@@ -14,6 +14,7 @@ from arcpi.pi import (
     METHODS,
     TAYLOR_MAX_BITS,
     _gauss_nodes,
+    _leading_floor,
     arctan_taylor_reference,
     gauss_expansion,
     measure,
@@ -117,6 +118,44 @@ def _recording(fn, calls):
     return wrapper
 
 
+@st.composite
+def sized_ints(draw, min_bits=0, max_bits=3000):
+    """An int with a drawn bit length, so that small and huge sizes are
+    both common."""
+    bits = draw(st.integers(min_bits, max_bits))
+    return draw(st.integers(2 ** bits // 2, 2 ** bits - 1))
+
+
+class TestLeadingFloor:
+    """``_leading_floor`` against exact ``Fraction`` arithmetic."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sized_ints(), st.booleans(), sized_ints(min_bits=1),
+           st.integers(0, 900))
+    @example(0, False, 1, 0)
+    @example(1, True, 1, 0)
+    @example(2**2440 - 1, True, 2**2452 + 1, 414)
+    @example(2**3000 - 1, False, 3, 400)
+    @example(2**1500 + 1, True, 2**2999 - 1, 1)
+    def test_floor_is_within_one_below_and_two_above(self, num, negative,
+                                                    den, digits):
+        num = -num if negative else num
+        scale = 10**digits
+        q = _leading_floor(num, den, scale)
+        assert q - 1 < F(num * scale, den) < q + 2
+
+    @pytest.mark.parametrize("num, den, digits", [
+        (0, 7, 3), (-22, 7, 5), (355, 113, 10), (-(2**200 + 3), 2**80 - 1, 20),
+        (2**2440 - 1, 2**1400 + 1, 400),
+    ], ids=["zero", "negative", "positive", "wide-negative", "wide-node"])
+    def test_small_denominators_take_the_exact_floor(self, num, den, digits):
+        # den has no more bits than the margin, so no bit is dropped (k = 0)
+        scale = 10**digits
+        extra = max(0, num.bit_length() - den.bit_length() + 1)
+        assert den.bit_length() <= scale.bit_length() + 5 + extra
+        assert _leading_floor(num, den, scale) == num * scale // den
+
+
 class TestGaussExpansion:
     """The certified digits of ``gauss_expansion`` against the expansion of
     the exact sum, ``pi_gauss``.  Every exact sum goes through
@@ -127,6 +166,11 @@ class TestGaussExpansion:
     def test_matches_the_exact_pair(self, L, M, n):
         p = P(L, M)
         assert gauss_expansion(p, n) == decimal_expand(pi_gauss(p), n)
+
+    def test_one_node_per_term_at_a_thousand_digits(self):
+        # 251 inner terms per node: the shape that certifies 1000 digits
+        p = P(1, 500)
+        assert gauss_expansion(p, 1000) == decimal_expand(pi_gauss(p), 1000)
 
     @pytest.mark.parametrize("size", [8, 16, 32, 46])
     def test_golden_sizes_certify_without_the_pair(self, monkeypatch, size):
@@ -159,6 +203,31 @@ class TestGaussExpansion:
         exact = pi_gauss(p)
         for n in (1, 5, 20, 50):
             assert gauss_expansion(p, n) == decimal_expand(exact, n)
+
+    def test_floors_that_round_up_are_not_certified(self, monkeypatch):
+        # 199 stub nodes whose dropped low bits make each leading-bit floor
+        # land above its node, and one exact node that puts a digit
+        # boundary 2 units below the floor sum S: the exact sum lies below
+        # that boundary, so only the interval's lower end S - n keeps the
+        # digits above it from being certified
+        n_digits, count = 5, 200
+        guard = pi._guard_digits(3 * count)
+        scale = 10 ** (n_digits + guard)
+        kept = 2 ** (scale.bit_length() + 5)  # den >> 64 is kept + 1
+        den = ((kept + 1) << 64) + 2**64 - 1
+        high = kept  # num >> 64, chosen so num * scale / den is just below q
+        while high * scale % (kept + 1) > kept // 64:
+            high += 1
+        num = high << 64
+        q = _leading_floor(num, den, scale)
+        assert q > F(num * scale, den)
+        floors = (count - 1) * q
+        exact = (2 - floors) % 10**guard + 10 ** (n_digits + guard)
+        nodes = [(num, den)] * (count - 1) + [(exact, scale)]
+        monkeypatch.setattr(pi, "_gauss_nodes", lambda p: nodes)
+        got = gauss_expansion(P(1, 0), n_digits)
+        assert got == decimal_expand(sum(F(a, b) for a, b in nodes), n_digits)
+        assert got.digits() == "19999999"
 
     def test_exact_decimal_is_not_certified_as_truncated(self, monkeypatch):
         # stub nodes making every floored term exact and the sum 7/4: the
