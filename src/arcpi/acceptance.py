@@ -1,7 +1,9 @@
 """Acceptance checks: criteria 3-7 of the acceptance suite, defined
-once.  ``arcpi selftest`` runs this table and tests/test_acceptance.py
-asserts on the same entries.  Each check returns (ok, detail) and never
-relies on ``assert``, so a broken kernel still fails under ``python -O``.
+once and built on the references, not copies of them: one oracle chain
+per kernel, and ``pi.taylor_pi``.  ``arcpi selftest`` runs this table
+and tests/test_acceptance.py asserts on the same entries.  Each check
+returns (ok, detail) and never relies on ``assert``, so a broken kernel
+still fails under ``python -O``.
 
 This is validation code, as is the quotient-rule oracle it imports, so
 neither sits on the import path of the computing modules: ``arcpi.cli``
@@ -21,13 +23,13 @@ from .kernels import (
     deriv_inv_one_minus_u2,
     inv_one_plus_t2_derivs,
 )
-from .oracle import RationalFunction, oracle_derivative
+from .oracle import RationalFunction
 from .pi import (
     GAUSS_TERMS,
-    arctan_taylor_reference,
     pi_closed_form,
     pi_derivative_form,
     reference_pi,
+    taylor_pi,
 )
 from .quadrature import (
     ComputationParams,
@@ -61,15 +63,15 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
     over all sixteen orders, so every step of ``arctan_derivs_scaled``
     runs, not only its first order.
     """
-    plus = RationalFunction.one_over_one_plus_square()
-    minus = RationalFunction.one_over_one_minus_square()
+    orders = range(16)
+    plus = RationalFunction.one_over_one_plus_square().derivatives(16)
+    minus = RationalFunction.one_over_one_minus_square().derivatives(16)
     t_grid = (F(0), F(1, 3), F(-1, 3), F(1), F(-1), F(7, 5), F(-7, 5),
               F(-2, 5), F(10))
     u_grid = [u for u in t_grid if abs(u) != 1]
-    orders = range(16)
     mismatches = 0
     for t in t_grid:
-        want = [oracle_derivative(m, plus, t) for m in orders]
+        want = [f.evaluate(t) for f in plus]
         stream = [F(*v) for v in inv_one_plus_t2_derivs(t, orders)]
         mismatches += abs(len(stream) - len(want)) + sum(
             got != w for got, w in zip(stream, want))
@@ -77,8 +79,8 @@ def _check_oracle_equivalence() -> tuple[bool, str]:
             arctan_deriv(m + 1, t) != w for m, w in zip(orders, want))
     for u in u_grid:
         mismatches += sum(
-            deriv_inv_one_minus_u2(m, u) != oracle_derivative(m, minus, u)
-            for m in orders)
+            deriv_inv_one_minus_u2(m, u) != f.evaluate(u)
+            for m, f in zip(orders, minus))
     return mismatches == 0, f"{mismatches} mismatches"
 
 
@@ -130,9 +132,7 @@ def _check_quadrature() -> tuple[bool, str]:
 
 def _check_reference() -> tuple[bool, str]:
     expansion = reference_pi(1000)  # raises on any embedded-digit mismatch
-    gauss_taylor = 4 * sum(
-        mult * arctan_taylor_reference(F(1, recip), 60)
-        for mult, recip in GAUSS_TERMS)
+    gauss_taylor, _ = taylor_pi(GAUSS_TERMS, 60)
     matched = matching_digits(decimal_expand(gauss_taylor, 60),
                               reference_pi(60))
     return (len(expansion.digits()) == 1001 and matched >= 55,

@@ -8,7 +8,8 @@ and ``bench --suite deriv-paths`` commands.
 Rational functions are kept as num / base**power with dense coefficient
 tuples (lowest degree first).  Differentiating num/base**k gives
 (num'*base - k*num*base') / base**(k+1), so degrees grow linearly with
-the order instead of doubling.
+the order instead of doubling.  A caller that reads many orders
+builds the chain f, f', f'', ... once (``RationalFunction.derivatives``).
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ class RationalFunction:
         )
         return RationalFunction(new_num, self.base, self.power + 1)
 
+    def derivatives(self, count: int) -> list[RationalFunction]:
+        """[f, f', f'', ...]: the first ``count`` functions of the chain,
+        each the quotient-rule ``derivative`` of the one before."""
+        chain = [self]
+        while len(chain) < count:
+            chain.append(chain[-1].derivative())
+        return chain[:count]
+
     def evaluate(self, t: Fraction) -> Fraction:
         b = poly_eval(self.base, t)
         if not b:
@@ -109,13 +118,7 @@ class RationalFunction:
 
 
 def oracle_derivative(m: int, f: RationalFunction, t: Fraction) -> Fraction:
-    """m-th derivative of f at t by repeated quotient rule.
-
-    Knows nothing about closed forms; this is the independent check the
-    kernel evaluators are validated against.
-    """
+    """m-th derivative of f at t: entry m of ``f.derivatives(m + 1)``."""
     if m < 0:
         raise OrderError("derivative order must be >= 0")
-    for _ in range(m):
-        f = f.derivative()
-    return f.evaluate(t)
+    return f.derivatives(m + 1)[m].evaluate(t)

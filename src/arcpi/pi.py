@@ -19,22 +19,13 @@ built only when the two ends differ.  The public ``pi_*`` evaluators return
 reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
-published 1000-digit constant, and an independent Machin-formula
-computation with rigorous alternating-series error bounds, whose digits
-are those that both ends of its error interval share.  The two must
-agree digit for digit or a ReferenceIntegrityError is raised; an
-approximation under test therefore never grades itself.
-
-The Machin terms come from ``arctan_taylor_reference``.  For x = p/q it
-keeps Taylor term k while |x|**(2k+1)/(2k+1) >= 10**-(n+5), tested in ints,
-and sums the K kept terms in one Horner pass in q**2 over the common
-denominator lcm(1, 3, ..., 2K-1) * q**(2K-1), the identity
-
-    sum_k (-1)**k x**(2k+1)/(2k+1)
-        = sum_k (-1)**k (odd_lcm/(2k+1)) p**(2k+1) q**(2(K-1-k))
-          / (odd_lcm * q**(2K-1)),
-
-so one gcd reduces the whole sum.  It uses nothing from ``arctan``,
+published 1000-digit constant, and Machin's formula summed by
+``taylor_pi(MACHIN_TERMS, n)`` with a rigorous alternating-series error
+bound, whose digits are those that both ends of its error interval share.
+The two must agree digit for digit or a ReferenceIntegrityError is raised;
+an approximation under test therefore never grades itself.  ``taylor_pi``
+sums any term table (criterion 7 sums ``GAUSS_TERMS``) by
+``arctan_taylor_reference``, which uses nothing from ``arctan``,
 ``kernels`` or ``quadrature``, the routes it grades.
 """
 
@@ -61,9 +52,11 @@ from .exact import (
 )
 from .quadrature import ComputationParams
 
-# Nine-term Gauss decomposition: pi = 4 * sum of multiplier * arctan(1/recip).
-# The multiplier list is pinned by test_acceptance: the sum must stay exact to
-# hundreds of digits, so edits here need the same independent re-verification.
+# Machin-like term tables: pi = 4 * sum of mult * arctan(1/recip).
+MACHIN_TERMS: tuple[tuple[int, int], ...] = ((4, 5), (-1, 239))
+# The nine-term Gauss decomposition.  Its multipliers are pinned by the tests:
+# the sum must stay exact to hundreds of digits, so edits here need the same
+# independent re-verification.
 GAUSS_TERMS: tuple[tuple[int, int], ...] = (
     (2805, 5257),
     (-398, 9466),
@@ -257,6 +250,19 @@ def arctan_taylor_reference(x: Fraction, n_digits: int) -> Fraction:
     return Fraction(acc, odd_lcm * q ** (2 * K - 1))
 
 
+def taylor_pi(terms: tuple[tuple[int, int], ...],
+              n_digits: int) -> tuple[Fraction, Fraction]:
+    """4 * sum of mult * ``arctan_taylor_reference(1/recip, n_digits)``,
+    and its error bound 4 * sum(|mult|) * 10**-(n_digits + 5), since each
+    series errs by less than 10**-(n_digits + 5)."""
+    value = 4 * sum(mult * arctan_taylor_reference(Fraction(1, recip),
+                                                   n_digits)
+                    for mult, recip in terms)
+    bound = Fraction(4 * sum(abs(mult) for mult, _ in terms),
+                     10 ** (n_digits + 5))
+    return value, bound
+
+
 @lru_cache(maxsize=None)
 def _embedded_digits() -> str:
     """Digit string '3' + 1000 fraction digits from the bundled constant."""
@@ -270,19 +276,6 @@ def _embedded_digits() -> str:
     return digits
 
 
-@lru_cache(maxsize=None)
-def _machin_with_bound(n_digits: int) -> tuple[Fraction, Fraction]:
-    """16*arctan(1/5) - 4*arctan(1/239) and a rigorous error bound."""
-    a = arctan_taylor_reference(Fraction(1, 5), n_digits)
-    b = arctan_taylor_reference(Fraction(1, 239), n_digits)
-    return 16 * a - 4 * b, Fraction(20, 10 ** (n_digits + 5))
-
-
-def pi_machin(n_digits: int) -> Fraction:
-    """Machin-formula pi, accurate to well past n_digits fraction digits."""
-    return _machin_with_bound(n_digits)[0]
-
-
 def _check_reference_digits(n_digits: int) -> None:
     if not 1 <= n_digits <= REFERENCE_DIGITS:
         raise DomainError(
@@ -293,8 +286,9 @@ def _check_reference_digits(n_digits: int) -> None:
 def reference_pi(n_digits: int) -> DecimalExpansion:
     """Verified reference expansion of pi to n_digits fraction digits.
 
-    The Machin value is recomputed with enough guard digits that both ends
-    of its error interval have the same expansion to n_digits, which pi
+    The Machin value and bound, ``taylor_pi(MACHIN_TERMS, n_digits + guard)``,
+    are recomputed with enough guard digits that both ends of the error
+    interval have the same expansion to n_digits, which pi
     inside it then shares (the rule in ``decimal_expand``).  That expansion
     is checked digit for digit against the embedded published constant.
     Any disagreement is fatal.
@@ -302,7 +296,7 @@ def reference_pi(n_digits: int) -> DecimalExpansion:
     _check_reference_digits(n_digits)
     guard = 5
     while True:
-        value, bound = _machin_with_bound(n_digits + guard)
+        value, bound = taylor_pi(MACHIN_TERMS, n_digits + guard)
         expansion = decimal_expand(value - bound, n_digits)
         if expansion == decimal_expand(value + bound, n_digits):
             break
@@ -331,7 +325,8 @@ def measure(method: str, p: ComputationParams, n_digits: int) -> PiResult:
     elif method == "gauss":
         expansion = gauss_expansion(p, n_digits)
     elif method == "machin":
-        expansion = decimal_expand(pi_machin(n_digits), n_digits)
+        expansion = decimal_expand(taylor_pi(MACHIN_TERMS, n_digits)[0],
+                                   n_digits)
     else:
         raise ValueError(f"unknown method {method!r} (want one of {METHODS})")
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from arcpi import acceptance, cli, pi
 from arcpi.arctan import arctan_closed_form
 from arcpi.errors import ReferenceIntegrityError
+from arcpi.exact import decimal_expand
 from arcpi.kernels import arctan_deriv
 from arcpi.quadrature import ComputationParams, integrate_all_orders
 
@@ -408,6 +409,32 @@ class TestBenchCommand:
                                "--sizes", "2", "--digits", "20",
                                "--repetitions", "3")
         assert code == 0
+
+    @pytest.mark.parametrize("repetitions, want_ms", [(1, "7.000"),
+                                                      (3, "5.000"),
+                                                      (4, "6.000")])
+    def test_ladder_reports_the_median_of_measured_elapsed_ms(
+            self, capsys, monkeypatch, repetitions, want_ms):
+        # each row runs `measure` exactly N times and reports the median of
+        # its elapsed_ms, which leaves the grading out of the clock
+        samples = iter([7.0, 5.0, 1.0, 9.0] * 6)
+        calls = []
+
+        def stub(method, params, n_digits):
+            calls.append((method, params.L))
+            return pi.PiResult(decimal_expand(Fraction(3), n_digits), method,
+                               1, next(samples))
+
+        monkeypatch.setattr(cli, "measure", stub)
+        code, out, _ = run_cli(capsys, "bench", "--suite", "pi-ladder",
+                               "--sizes", "2", "--digits", "20",
+                               "--repetitions", str(repetitions),
+                               "--format", "json")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert calls == [(m, 2) for m in ("eq17", "eq18", "gauss")
+                         for _ in range(repetitions)]
+        assert records[0]["elapsed_ms"] == want_ms
 
 
 class TestSelftest:

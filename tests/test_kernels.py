@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from arcpi.errors import OrderError, PoleError
 from arcpi.kernels import (
@@ -264,6 +264,49 @@ class TestOracle:
 
 T_GRID = [F(0), F(1, 3), F(-1, 3), F(1), F(-1), F(7, 5), F(-7, 5), F(10)]
 U_GRID = [u for u in T_GRID if abs(u) != 1]
+
+
+def oracle_derivative_reference(m: int, f: RationalFunction, t: F) -> F:
+    """The per-order loop ``oracle_derivative`` replaced: m quotient-rule
+    steps from f, then one evaluation."""
+    for _ in range(m):
+        f = f.derivative()
+    return f.evaluate(t)
+
+
+# criterion 4's grid: the closed forms are checked against the chain there
+CRITERION_4_GRID = [F(0), F(1, 3), F(-1, 3), F(1), F(-1), F(7, 5),
+                    F(-7, 5), F(-2, 5), F(10)]
+
+
+class TestDerivativeChain:
+    def test_chain_starts_at_f_and_steps_by_derivative(self):
+        chain = ONE_PLUS.derivatives(4)
+        assert chain[0] == ONE_PLUS
+        assert [g.derivative() for g in chain[:-1]] == chain[1:]
+        assert ONE_PLUS.derivatives(0) == []
+        assert ONE_PLUS.derivatives(1) == [ONE_PLUS]
+
+    @pytest.mark.parametrize("f, grid", [
+        (ONE_PLUS, CRITERION_4_GRID),
+        (ONE_MINUS, [u for u in CRITERION_4_GRID if abs(u) != 1]),
+    ])
+    def test_chain_equals_the_per_order_loop_on_the_grid(self, f, grid):
+        chain = f.derivatives(16)
+        for t in grid:
+            want = [oracle_derivative_reference(m, f, t) for m in range(16)]
+            assert [g.evaluate(t) for g in chain] == want
+            assert [oracle_derivative(m, f, t) for m in range(16)] == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([ONE_PLUS, ONE_MINUS]), st.integers(0, 15),
+           st.fractions(min_value=-100, max_value=100, max_denominator=100))
+    def test_chain_equals_the_per_order_loop_on_random_rationals(
+            self, f, m, t):
+        assume(f == ONE_PLUS or abs(t) != 1)  # the poles of 1/(1 - u**2)
+        want = [oracle_derivative_reference(k, f, t) for k in range(m + 1)]
+        assert [g.evaluate(t) for g in f.derivatives(m + 1)] == want
+        assert oracle_derivative(m, f, t) == want[-1]
 
 
 @pytest.mark.parametrize("m", range(16))

@@ -11,6 +11,7 @@ from arcpi.errors import DomainError
 from arcpi.exact import decimal_expand, matching_digits
 from arcpi.pi import (
     GAUSS_TERMS,
+    MACHIN_TERMS,
     METHODS,
     TAYLOR_MAX_BITS,
     _gauss_nodes,
@@ -21,8 +22,8 @@ from arcpi.pi import (
     pi_closed_form,
     pi_derivative_form,
     pi_gauss,
-    pi_machin,
     reference_pi,
+    taylor_pi,
 )
 from arcpi.arctan import arctan_closed_form
 from arcpi.quadrature import ComputationParams
@@ -349,6 +350,26 @@ class TestTaylorReference:
         assert (odd_lcm * q ** (2 * k - 1)).bit_length() <= bits
 
 
+class TestTaylorPi:
+    @pytest.mark.parametrize("n", [1, 10, 400, 1005])
+    def test_machin_table_gives_the_two_term_formula(self, n):
+        a = arctan_taylor_reference(F(1, 5), n)
+        b = arctan_taylor_reference(F(1, 239), n)
+        assert taylor_pi(MACHIN_TERMS, n) == \
+            (16 * a - 4 * b, F(20, 10 ** (n + 5)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-50, 50), st.integers(2, 10**5)),
+                    max_size=4),
+           st.integers(1, 60))
+    def test_term_table_equals_the_term_by_term_sum(self, terms, n):
+        terms = tuple(terms)
+        assert taylor_pi(terms, n) == (
+            4 * sum(mult * taylor_reference_by_terms(F(1, recip), n)
+                    for mult, recip in terms),
+            F(4 * sum(abs(mult) for mult, _ in terms), 10 ** (n + 5)))
+
+
 class TestReference:
     def test_first_ten_digits(self):
         assert str(reference_pi(10)) == "3.1415926535"
@@ -357,7 +378,7 @@ class TestReference:
         assert str(reference_pi(1)) == "3.1"
 
     def test_machin_value_is_close(self):
-        e = decimal_expand(pi_machin(30), 30)
+        e = decimal_expand(taylor_pi(MACHIN_TERMS, 30)[0], 30)
         assert matching_digits(e, reference_pi(30)) >= 30
 
     def test_full_embedded_length(self):
@@ -376,27 +397,24 @@ class TestReference:
     def fresh_reference_caches(self):
         # the stubbed bounds below must not reach, or come from, the caches
         # other tests share
-        caches = (pi.reference_pi, pi._machin_with_bound)
-        for cached in caches:
-            cached.cache_clear()
+        pi.reference_pi.cache_clear()
         yield
-        for cached in caches:
-            cached.cache_clear()
+        pi.reference_pi.cache_clear()
 
     def test_straddling_interval_widens_and_retries(
             self, monkeypatch, fresh_reference_caches):
         # a bound of 10**-n puts a digit boundary inside every interval
         # until the guard reaches 20
         n, guards = 50, []
-        machin_with_bound = pi._machin_with_bound
+        taylor = pi.taylor_pi
 
-        def stub(n_digits):
+        def stub(terms, n_digits):
             guard = n_digits - n
             guards.append(guard)
-            value, bound = machin_with_bound(n_digits)
+            value, bound = taylor(terms, n_digits)
             return value, F(1, 10**n) if guard < 20 else bound
 
-        monkeypatch.setattr(pi, "_machin_with_bound", stub)
+        monkeypatch.setattr(pi, "taylor_pi", stub)
         assert reference_pi(n).digits() == pi._embedded_digits()[: n + 1]
         assert guards == [5, 10, 20]
 
@@ -441,10 +459,11 @@ class TestMeasure:
                 return value
             return evaluator
 
+        reference_pi(10)  # cached, so grading below calls no stub
         for name, value in (("pi_closed_form", F(3)),
                             ("pi_derivative_form", F(3)),
                             ("gauss_expansion", decimal_expand(F(3), 10)),
-                            ("pi_machin", F(3))):
+                            ("taylor_pi", (F(3), F(0)))):
             monkeypatch.setattr(pi, name, recorder(name, value))
         with pytest.raises(DomainError):
             measure(method, P(46, 46), n)
