@@ -18,15 +18,16 @@ derivative orders up to M, but by unrelated routes:
 The two routes agree exactly, rational to rational, for every x, L, M;
 that equality is the library's central invariant.
 
-Both accumulate each node as an unreduced int pair, and
-``exact.pairwise_sum`` reduces each node once and adds the nodes.  The
-closed form puts each node over one common denominator and builds its
-numerator by one Horner pass in conj(w)**2, reduced modulo the quadratic
-that conj(w)**2 solves, so each inner term costs two multiplications by
-node-sized ints and one addition (``closed_form_nodes``).  The derivative form
+Both accumulate each node in ints, and the two routes add their nodes by
+two adders that share no code.  The closed form writes node l as
+num_l / (odd_lcm * norm_l**(2K-1)) and builds num_l by one Horner pass in
+conj(w)**2, reduced modulo the quadratic that conj(w)**2 solves, so each
+inner term costs two multiplications by node-sized ints and one addition
+(``closed_form_nodes``).  Its nodes differ only in the small norm_l, so
+``exact.power_base_sum`` adds them with gcds of norms.  The derivative form
 asks each node once for all its orders, and ``kernels.arctan_derivs_scaled``
 streams them as unreduced int pairs, which the rule adds per node by an lcm
-add (``arcpi.quadrature``).
+add and across nodes by ``exact.pairwise_sum`` (``arcpi.quadrature``).
 
 Neither route needs a case for x = 0: there every Gaussian integer is
 still nonzero (w = 2iL*den), and each term carries a factor num**(2m-1)
@@ -39,20 +40,21 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import gaussian_pow, pairwise_sum
+from .exact import gaussian_pow, power_base_sum
 from .kernels import arctan_derivs_scaled
 from .quadrature import ComputationParams, integrate_even_orders
 
 
 def closed_form_nodes(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
-) -> list[tuple[int, int]]:
-    """The closed-form node sums over the given outer indices, one
-    unreduced ``(num, den)`` fraction per index, every den > 0.
+) -> tuple[list[tuple[int, int]], int, int]:
+    """The closed-form node sums over the given outer indices, as
+    ``(nodes, odd_lcm, e)``: one unreduced ``(2 * acc, norm)`` pair per
+    index, every norm > 0, standing for the node 2 * acc / (odd_lcm *
+    norm**e), with e = 2K-1.  ``exact.power_base_sum`` takes these three.
 
-    Node l is 2 * acc / (odd_lcm * norm**(2K-1)), where
-    odd_lcm = lcm(1, 3, ..., 2K-1), x = num/den, w = num*(2l-1) + 2iL*den,
-    norm = |w|**2 and
+    Here odd_lcm = lcm(1, 3, ..., 2K-1), x = num/den,
+    w = num*(2l-1) + 2iL*den, norm = |w|**2 and
 
         acc = sum_{m=1..K} c_m Im(w**(2m-1)) norm**(2K-2m),
         c_m = (odd_lcm/(2m-1)) num**(2m-1)
@@ -93,16 +95,16 @@ def closed_form_nodes(
             a, b = c - b * n, a + b * t
         hr, hi = gaussian_pow(re, two_l_den, 2 * k - 1)  # h = w**(2K-1)
         acc = hi * (a + b * u) - hr * b * v
-        nodes.append((2 * acc, odd_lcm * norm ** (2 * k - 1)))
-    return nodes
+        nodes.append((2 * acc, norm))
+    return nodes, odd_lcm, 2 * k - 1
 
 
 def closed_form_block(
     x: Fraction, p: ComputationParams, ells: Sequence[int]
 ) -> Fraction:
     """Partial closed-form sum over the given outer indices: the nodes of
-    ``closed_form_nodes``, added by ``exact.pairwise_sum``."""
-    return pairwise_sum(closed_form_nodes(x, p, ells))
+    ``closed_form_nodes``, added by ``exact.power_base_sum``."""
+    return power_base_sum(*closed_form_nodes(x, p, ells))
 
 
 def arctan_closed_form(x: Fraction, p: ComputationParams) -> Fraction:

@@ -249,14 +249,20 @@ def _median_ms(fn: Callable[[], object], repetitions: int) -> float:
 
 
 def _bench_pi_ladder(args: argparse.Namespace) -> list[dict[str, str]]:
+    """Digits and time of eq17, eq18 and gauss at each size.
+
+    eq17 and eq18 are the same rational by two routes, so their expansions
+    must be identical (ReferenceIntegrityError otherwise)."""
     rows = []
     for size in args.sizes:
         params = ComputationParams(size, size)
+        expansions = {}
         for method in ("eq17", "eq18", "gauss"):
             # each elapsed_ms leaves the grading out
             results = [measure(method, params, args.digits)
                        for _ in range(args.repetitions)]
             result = results[0]
+            expansions[method] = result.expansion
             elapsed = statistics.median(r.elapsed_ms for r in results)
             rows.append({
                 "method": method,
@@ -269,6 +275,10 @@ def _bench_pi_ladder(args: argparse.Namespace) -> list[dict[str, str]]:
                            else "no"),
                 "elapsed_ms": f"{elapsed:.3f}",
             })
+        if expansions["eq17"] != expansions["eq18"]:
+            raise ReferenceIntegrityError(
+                f"eq17 and eq18 expansions disagree at L = M = {size} "
+                "(arithmetic bug)")
     return rows
 
 

@@ -1,6 +1,5 @@
 """Exact arbitrary-precision arithmetic: rationals and Gaussian-integer
-powers, pairwise summation of rationals, decimal expansion and
-digit-agreement counting.
+powers, two exact adders, decimal expansion and digit-agreement counting.
 
 Rationals are python's ``fractions.Fraction``, which already keeps the
 canonical form this library relies on everywhere: positive denominator,
@@ -10,12 +9,15 @@ is a nonnegative power of one, so all the heavy lifting stays in integer
 arithmetic and a single big denominator appears only when the result is
 turned into a ``Fraction``.
 
-Every sum across nodes is ``pairwise_sum`` of the unreduced ``(num, den)``
-node pairs: it reduces each pair once, then adds them pairwise.
-``decimal_expand`` also takes an unreduced pair, so a value that only feeds
-an expansion needs no gcd.  It is also the one way digits are certified:
-every value between two values with equal expansions has that expansion
-too.  Decimal strings come from ``int_to_decimal`` and go back through
+Two adders sum across nodes, and they share no code.  ``pairwise_sum``
+takes unreduced ``(num, den)`` pairs, reduces each once and adds them
+pairwise with ``Fraction +``; the derivative form and the quadrature use
+it.  ``power_base_sum`` takes the closed form's nodes num / (common *
+base**e), whose denominators differ only in a small base, and adds them
+with gcds of bases, never of denominators.  ``decimal_expand`` also takes
+an unreduced pair, so a value that only feeds an expansion needs no gcd.
+It is also the one way digits are certified: every value between two
+values with equal expansions has that expansion too.  Decimal strings come from ``int_to_decimal`` and go back through
 ``decimal_to_int``, both free of python's int/str digit limit.
 
 Every value here is immutable and every operation is a pure function.
@@ -26,6 +28,7 @@ from __future__ import annotations
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 _RATIONAL_RE = _re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -68,6 +71,63 @@ def pairwise_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
             paired.append(level[-1])
         level = paired
     return level[0]
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """The ``Fraction`` num/den of coprime ints with den > 0, built without
+    the gcd that ``Fraction(num, den)`` would take again.
+
+    It writes the two slots every ``Fraction`` keeps, ``_numerator`` and
+    ``_denominator`` (the same on python 3.10 to 3.13), as the standard
+    library's own ``Fraction._from_coprime_ints`` does on 3.12 and later.
+    """
+    r = object.__new__(Fraction)
+    r._numerator = num
+    r._denominator = den
+    return r
+
+
+def power_base_sum(terms: Iterable[tuple[int, int]], common: int,
+                   exponent: int) -> Fraction:
+    """Exact sum of num / (common * base**exponent) over the ``(num, base)``
+    int pairs of ``terms``, as a reduced ``Fraction``; common > 0, every
+    base > 0 and exponent >= 0.  ``[]`` sums to 0.
+
+    Tree: with e = exponent, (A, P) and (B, Q) stand for A / (common * P**e)
+    and B / (common * Q**e).  With g = gcd(P, Q), P * (Q/g) = Q * (P/g) =
+    lcm(P, Q), so their sum is the term (A * (Q/g)**e + B * (P/g)**e,
+    P/g * Q).  Neighbours merge so, then the halved list again, as in
+    ``pairwise_sum``; each merge takes a gcd of two bases, never of two
+    denominators.
+
+    Reduction: the tree leaves n / d with d = common * R**e for the root
+    base R.  Every prime of d divides s = common * R, so n / d is reduced
+    once t = gcd(n mod s, s, d) is 1: the remainders are by s, never by a
+    gcd of n and d.  While t > 1, t is squared as long as t**2 still
+    divides n and d, and both are divided by t; the squaring strips a
+    prime power p**k in about log2(k) rounds rather than k.
+    """
+    level = list(terms)
+    while len(level) > 1:
+        paired = []
+        for (a, p), (b, q) in zip(level[0::2], level[1::2]):
+            g = gcd(p, q)
+            p_g, q_g = p // g, q // g
+            paired.append((a * q_g**exponent + b * p_g**exponent, p_g * q))
+        if len(level) % 2:
+            paired.append(level[-1])
+        level = paired
+    if not level or level[0][0] == 0:
+        return Fraction(0)
+    num, root = level[0]
+    den = common * root**exponent
+    radical = common * root
+    while (t := gcd(num % radical, radical, den)) > 1:
+        while num % (square := t * t) == 0 and den % square == 0:
+            t = square
+        num //= t
+        den //= t
+    return _coprime_fraction(num, den)
 
 
 def gaussian_pow(re: int, im: int, k: int) -> tuple[int, int]:

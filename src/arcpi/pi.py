@@ -9,8 +9,9 @@ Three exact evaluators share the truncation parameters (L, M):
   every term evaluated with the closed-form sum.  Small arguments make
   the truncation far more accurate at equal (L, M).
 
-The Gauss value is stated once, as a list of 9 * L exact node fractions
-(``_gauss_nodes``), and ``pi_gauss`` adds them with ``exact.pairwise_sum``.
+The Gauss value is stated once, as 9 * L exact closed-form nodes over one
+shared odd_lcm and exponent (``_gauss_nodes``), and ``pi_gauss`` adds them
+with ``exact.power_base_sum``.
 ``measure`` grades a ``DecimalExpansion``.  For ``gauss`` it comes from
 ``gauss_expansion``, which floors each node at a scaled precision and
 takes the expansion that both ends of the floor-error interval share; the
@@ -48,7 +49,7 @@ from .exact import (
     DecimalExpansion,
     decimal_expand,
     matching_digits,
-    pairwise_sum,
+    power_base_sum,
 )
 from .quadrature import ComputationParams
 
@@ -96,14 +97,20 @@ def pi_derivative_form(p: ComputationParams) -> Fraction:
     return 4 * arctan_derivative_form(Fraction(1), p)
 
 
-def _gauss_nodes(p: ComputationParams) -> list[tuple[int, int]]:
-    """The 9 * L node fractions whose sum is ``pi_gauss(p)``: for each Gauss
-    term, the L nodes of 4 * mult * arctan_closed_form(1/recip, p), as
-    unreduced (num, den) pairs with positive denominators."""
+def _gauss_nodes(
+        p: ComputationParams) -> tuple[list[tuple[int, int]], int, int]:
+    """The 9 * L nodes whose sum is ``pi_gauss(p)``, in the
+    ``(nodes, odd_lcm, e)`` shape of ``closed_form_nodes``: for each Gauss
+    term, the L nodes of 4 * mult * arctan_closed_form(1/recip, p).  Node
+    (num, norm) stands for num / (odd_lcm * norm**e); odd_lcm and e depend
+    only on p, so every term shares them."""
     ells = range(1, p.L + 1)
-    return [(4 * mult * n, d)
-            for mult, recip in GAUSS_TERMS
-            for n, d in closed_form_nodes(Fraction(1, recip), p, ells)]
+    nodes = []
+    for mult, recip in GAUSS_TERMS:
+        term, common, exponent = closed_form_nodes(Fraction(1, recip), p,
+                                                   ells)
+        nodes += [(4 * mult * num, norm) for num, norm in term]
+    return nodes, common, exponent
 
 
 def _guard_digits(width: int) -> int:
@@ -141,7 +148,7 @@ def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
     floors so that the exact sum is rarely built.
 
     Value: v = pi_gauss(p) is the sum of the n = 9 * L node fractions
-    num / den of ``_gauss_nodes``, every denominator positive.
+    num / den of ``_gauss_nodes``, with den = odd_lcm * norm**e > 0.
 
     Bound: let s = 10**(n_digits + g) and S the sum of the n floors
     ``_leading_floor(num, den, s)``.  Each errs from num * s / den by
@@ -152,24 +159,25 @@ def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
     1,380 bits, not from the 2,450-bit denominator.
 
     Otherwise the digits come from the exact sum of the same nodes,
-    ``pairwise_sum(nodes)``, which is ``pi_gauss(p)``; the nodes are built
-    once either way.  With g = len(str(3n)) + 10 guard digits, an interval
+    ``power_base_sum``, which is ``pi_gauss(p)``; the nodes are built once
+    either way.  With g = len(str(3n)) + 10 guard digits, an interval
     of width 3n straddles a digit boundary with a chance under 1e-10.
     """
-    nodes = _gauss_nodes(p)
+    nodes, common, exponent = _gauss_nodes(p)
     n = len(nodes)
     scale = 10 ** (n_digits + _guard_digits(3 * n))
-    total = sum(_leading_floor(num, den, scale) for num, den in nodes)
+    total = sum(_leading_floor(num, common * norm**exponent, scale)
+                for num, norm in nodes)
     low = decimal_expand((total - n, scale), n_digits)
     if low == decimal_expand((total + 2 * n, scale), n_digits):
         return low
-    return decimal_expand(pairwise_sum(nodes), n_digits)
+    return decimal_expand(power_base_sum(nodes, common, exponent), n_digits)
 
 
 def pi_gauss(p: ComputationParams) -> Fraction:
     """Nine-term Gauss arctangent combination at shared (L, M): the nodes
-    of ``_gauss_nodes``, added by ``exact.pairwise_sum``."""
-    return pairwise_sum(_gauss_nodes(p))
+    of ``_gauss_nodes``, added by ``exact.power_base_sum``."""
+    return power_base_sum(*_gauss_nodes(p))
 
 
 TAYLOR_MAX_BITS = 2**17  # ceiling on the reference's common denominator

@@ -173,11 +173,13 @@ def test_first_digits_at_one_fifth():
     assert abs(value - reference) < F(1, 10**10)
 
 
-def closed_form_nodes_reference(x: F, p: P, ells) -> list[tuple[int, int]]:
+def closed_form_nodes_reference(
+        x: F, p: P, ells) -> tuple[list[tuple[int, int]], int, int]:
     """The closed-form nodes by the Horner loop in norm**2 that the
     production code ran before its reduced pass in conj(w)**2: every term
     steps w**(2m-1) forward by w**2 and multiplies it by its coefficient
-    (odd_lcm/(2m-1)) num**(2m-1), formed here inside the node loop."""
+    (odd_lcm/(2m-1)) num**(2m-1), formed here inside the node loop.  The
+    same ``(nodes, odd_lcm, 2K-1)`` shape, nodes as (2 * acc, norm)."""
     num, den = x.numerator, x.denominator
     two_l_den = 2 * p.L * den
     k = p.inner_terms
@@ -196,8 +198,8 @@ def closed_form_nodes_reference(x: F, p: P, ells) -> list[tuple[int, int]]:
                 re, im = re * w2_re - im * w2_im, re * w2_im + im * w2_re
                 num_pow *= num2
             acc = acc * norm2 + odd_lcm // (2 * m - 1) * num_pow * im
-        nodes.append((2 * acc, odd_lcm * norm ** (2 * k - 1)))
-    return nodes
+        nodes.append((2 * acc, norm))
+    return nodes, odd_lcm, 2 * k - 1
 
 
 @pytest.mark.parametrize("L, M", [(1, 0), (3, 5), (8, 8), (46, 1), (5, 46),
@@ -205,7 +207,8 @@ def closed_form_nodes_reference(x: F, p: P, ells) -> list[tuple[int, int]]:
 @pytest.mark.parametrize("x", [F(0), F(1), F(-7, 3), F(1, 5257),
                                F(139, 10567)])
 def test_nodes_equal_the_per_node_coefficient_loop(x, L, M):
-    """The same unreduced (num, den) pairs, not merely equal values."""
+    """The same unreduced (num, norm) pairs, odd_lcm and exponent, not
+    merely equal values."""
     p, ells = P(L, M), range(1, L + 1)
     assert closed_form_nodes(x, p, ells) == \
         closed_form_nodes_reference(x, p, ells)
@@ -222,7 +225,7 @@ def test_nodes_equal_the_per_node_coefficient_loop(x, L, M):
 @example(F(7, 3), 3, 599)
 @example(F(-5257), 1, 250)
 def test_nodes_equal_the_norm_horner_loop_on_random_shapes(x, L, M):
-    """The reduced pass gives the same unreduced (num, den) pairs as the
+    """The reduced pass gives the same unreduced (num, norm) pairs as the
     Horner loop in norm**2, at one to three nodes and up to 301 terms."""
     p, ells = P(L, M), range(1, L + 1)
     assert closed_form_nodes(x, p, ells) == \
@@ -289,6 +292,26 @@ def test_block_partition_sums_to_the_whole(x, L, M, data):
         closed_form_block(x, p, range(1, L + 1))
 
 
+# The arguments of the dual-route benchmark workload at seed 1: 1, whose
+# arctangent is pi/4 (``pi_closed_form`` and ``pi_derivative_form`` are 4
+# times these two), the largest and the smallest Gauss-term argument, and
+# four seeded signed p/q.
+DUAL_ROUTE_XS = (F(1), F(1, 5257), F(1, 485298), F(151, 13627),
+                 F(-139, 10567), F(149, 12907), F(-199, 12653))
+
+
+@pytest.mark.parametrize("x", DUAL_ROUTE_XS)
+def test_routes_agree_on_the_dual_route_arguments(x):
+    """At L = M = 32 the closed form, added by ``exact.power_base_sum``,
+    and the derivative form, added by ``exact.pairwise_sum``, give the same
+    numerator and denominator: two adders that share no code."""
+    p = P(32, 32)
+    closed = arctan_closed_form(x, p)
+    derivative = arctan_derivative_form(x, p)
+    assert (closed.numerator, closed.denominator) == \
+        (derivative.numerator, derivative.denominator)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.one_of(st.just(F(0)), signed_rationals),
        st.integers(min_value=1, max_value=9),
@@ -297,11 +320,13 @@ def test_block_partition_sums_to_the_whole(x, L, M, data):
 @example(F(-7, 3), 5, 4)
 @example(F(5, 2), 2, 0)
 def test_nodes_have_positive_denominators_and_sum_to_the_closed_form(x, L, M):
-    """One node fraction per index, every den > 0, as the gauss floor
-    certificate needs; the nodes add up to the closed form."""
+    """One node fraction per index, every den = odd_lcm * norm**e > 0, as
+    the gauss floor certificate needs; the nodes add up to the closed
+    form."""
     p = P(L, M)
-    nodes = closed_form_nodes(x, p, range(1, L + 1))
+    nodes, odd_lcm, e = closed_form_nodes(x, p, range(1, L + 1))
     assert len(nodes) == L
-    assert all(den > 0 for _, den in nodes)
-    assert sum((F(num, den) for num, den in nodes), F(0)) == \
-        arctan_closed_form(x, p)
+    assert odd_lcm > 0 and e == 2 * p.inner_terms - 1
+    assert all(norm > 0 for _, norm in nodes)
+    assert sum((F(num, odd_lcm * norm**e) for num, norm in nodes), F(0)) \
+        == arctan_closed_form(x, p)

@@ -121,8 +121,8 @@ def test_gauss_report_never_reduces(capsys, monkeypatch):
     """`pi --method gauss` certifies its digits from per-node floors: it
     builds no exact sum."""
     def build(*args, **kwargs):
-        raise AssertionError("pairwise_sum called by the pi command")
-    monkeypatch.setattr(pi, "pairwise_sum", build)
+        raise AssertionError("power_base_sum called by the pi command")
+    monkeypatch.setattr(pi, "power_base_sum", build)
     record = run_json(capsys, "pi", "--method", "gauss", "-L", "8", "-M", "8",
                       "--digits", "60")
     assert record["matched_digits"] == "50"
@@ -403,6 +403,24 @@ class TestBenchCommand:
         assert code == cli.INTEGRITY_EXIT == 4
         assert out == ""
         assert "disagree" in err
+
+    def test_ladder_route_disagreement_is_integrity_error(self, capsys,
+                                                         monkeypatch):
+        measured = cli.measure
+
+        def broken(method, params, n_digits):  # eq18 reads 3.000...
+            result = measured(method, params, n_digits)
+            if method != "eq18":
+                return result
+            return pi.PiResult(decimal_expand(Fraction(3), n_digits), method,
+                               1, result.elapsed_ms)
+
+        monkeypatch.setattr(cli, "measure", broken)
+        code, out, err = run_cli(capsys, "bench", "--suite", "pi-ladder",
+                                 "--sizes", "2", "--digits", "20")
+        assert code == cli.INTEGRITY_EXIT == 4
+        assert out == ""
+        assert "eq17 and eq18" in err and "disagree" in err
 
     def test_repetitions(self, capsys):
         code, out, _ = run_cli(capsys, "bench", "--suite", "pi-ladder",

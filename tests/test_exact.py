@@ -1,10 +1,11 @@
 """Rational and Gaussian-integer arithmetic groundwork."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arcpi.exact import (
     decimal_expand,
@@ -15,6 +16,7 @@ from arcpi.exact import (
     matching_digits,
     pairwise_sum,
     parse_rational,
+    power_base_sum,
 )
 
 F = Fraction
@@ -269,6 +271,38 @@ def test_pairwise_sum_is_the_exact_sum(pairs):
     total = pairwise_sum(pairs)
     assert isinstance(total, Fraction)
     assert total == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
+
+
+# Bases built from a few small primes, so that neighbours, and the common
+# factor, often share primes.
+_small_prime_bases = st.builds(
+    lambda factors, rest: math.prod(factors) * rest,
+    st.lists(st.sampled_from([2, 3, 5, 7, 7, 7]), max_size=4),
+    st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**40, 10**40), _small_prime_bases),
+                max_size=13),
+       _small_prime_bases, st.integers(0, 9))
+@example([], 1, 1)
+@example([(0, 3), (0, 10), (0, 3)], 6, 3)  # all-zero numerators
+@example([(5, 2), (-5, 2)], 3, 2)  # cancels over equal bases
+@example([(4, 2), (-1, 1)], 5, 2)  # cancels over different bases
+@example([(1, 6), (5, 6), (7, 6), (-2, 6)], 1, 3)  # equal bases
+@example([(1, 15), (2, 21), (4, 35)], 105, 2)  # bases share common's primes
+@example([(2, 5257), (3 * 7**33, 7 * 751), (7**40, 7)], 3 * 7, 33)
+@example([(3, 4), (5, 6), (-1, 9), (1, 1)], 2, 1)  # e = 1
+def test_power_base_sum_is_the_reduced_exact_sum(terms, common, exponent):
+    """The same reduced ``Fraction`` as ``Fraction +``: equal numerator,
+    denominator and hash, so a result left unreduced would fail."""
+    got = power_base_sum(terms, common, exponent)
+    want = sum((Fraction(num, common * base**exponent)
+                for num, base in terms), Fraction(0))
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == \
+        (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
 
 
 class TestIntToDecimal:

@@ -104,10 +104,11 @@ class TestGaussCombination:
 
     @pytest.mark.parametrize("p", [P(1, 0), P(3, 4), P(5, 2)])
     def test_pair_is_the_sum_of_reduced_terms(self, p):
-        nodes = _gauss_nodes(p)
+        nodes, odd_lcm, e = _gauss_nodes(p)
         assert len(nodes) == 9 * p.L
-        assert all(den > 0 for _, den in nodes)
-        assert sum(F(num, den) for num, den in nodes) == pi_gauss(p) == \
+        assert odd_lcm > 0 and all(norm > 0 for _, norm in nodes)
+        assert sum(F(num, odd_lcm * norm**e) for num, norm in nodes) == \
+            pi_gauss(p) == \
             4 * sum(mult * arctan_closed_form(F(1, recip), p)
                     for mult, recip in GAUSS_TERMS)
 
@@ -160,7 +161,7 @@ class TestLeadingFloor:
 class TestGaussExpansion:
     """The certified digits of ``gauss_expansion`` against the expansion of
     the exact sum, ``pi_gauss``.  Every exact sum goes through
-    ``pairwise_sum``, so a run that records no call built none."""
+    ``power_base_sum``, so a run that records no call built none."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
@@ -178,8 +179,8 @@ class TestGaussExpansion:
         p = P(size, size)
         exact = decimal_expand(pi_gauss(p), 400)
         calls = []
-        monkeypatch.setattr(pi, "pairwise_sum",
-                            _recording(pi.pairwise_sum, calls))
+        monkeypatch.setattr(pi, "power_base_sum",
+                            _recording(pi.power_base_sum, calls))
         assert gauss_expansion(p, 400) == exact
         assert calls == []
 
@@ -224,8 +225,9 @@ class TestGaussExpansion:
         assert q > F(num * scale, den)
         floors = (count - 1) * q
         exact = (2 - floors) % 10**guard + 10 ** (n_digits + guard)
+        # common 1 and exponent 1: each stub node (num, den) is num / den
         nodes = [(num, den)] * (count - 1) + [(exact, scale)]
-        monkeypatch.setattr(pi, "_gauss_nodes", lambda p: nodes)
+        monkeypatch.setattr(pi, "_gauss_nodes", lambda p: (nodes, 1, 1))
         got = gauss_expansion(P(1, 0), n_digits)
         assert got == decimal_expand(sum(F(a, b) for a, b in nodes), n_digits)
         assert got.digits() == "19999999"
@@ -238,12 +240,13 @@ class TestGaussExpansion:
 
         def nodes(x, p, ells):
             mult = mults[x.denominator]
-            return [(2, 32 * abs(mult))]  # 4 * mult * 2 / (32 * |mult|)
+            # 4 * mult * 2 / (1 * (32 * |mult|)**1)
+            return [(2, 32 * abs(mult))], 1, 1
 
         calls = []
         monkeypatch.setattr(pi, "closed_form_nodes", nodes)
-        monkeypatch.setattr(pi, "pairwise_sum",
-                            _recording(pi.pairwise_sum, calls))
+        monkeypatch.setattr(pi, "power_base_sum",
+                            _recording(pi.power_base_sum, calls))
         got = gauss_expansion(P(1, 0), 5)
         assert len(calls) == 1
         assert got == decimal_expand(F(7, 4), 5)
