@@ -26,8 +26,10 @@ inner term costs two multiplications by node-sized ints and one addition
 (``closed_form_nodes``).  Its nodes differ only in the small norm_l, so
 ``exact.power_base_sum`` adds them with gcds of norms.  The derivative form
 asks each node once for all its orders, and ``kernels.arctan_derivs_scaled``
-streams them as unreduced int pairs, which the rule adds per node by an lcm
-add and across nodes by ``exact.pairwise_sum`` (``arcpi.quadrature``).
+gives them as the paper's identity does: numerators over powers of the one
+node norm.  The rule sums each node by Horner in that norm, with no gcd,
+and adds the nodes by ``quadrature.node_sum``, with gcds of norms
+(``arcpi.quadrature``).
 
 Neither route needs a case for x = 0: there every Gaussian integer is
 still nonzero (w = 2iL*den), and each term carries a factor num**(2m-1)

@@ -286,24 +286,26 @@ def _bench_deriv_paths(args: argparse.Namespace) -> list[dict[str, str]]:
     """Closed-form kernel derivatives vs the quotient-rule oracle.
 
     Both paths produce every g(l, m) = (d/dt)^m 1/(1+t^2), m = 0..M, at the
-    midpoint nodes: ``eq5`` as the quadrature's node stream of unreduced
-    pairs, the oracle as ``Fraction``s.  The values must be identical
-    (ReferenceIntegrityError otherwise), only the clock differs.
+    midpoint nodes: ``eq5`` as the quadrature's oracle values, numerators
+    over powers of one node norm, the oracle as ``Fraction``s.  The values
+    must be identical (ReferenceIntegrityError otherwise), only the clock
+    differs.
     """
     from .oracle import RationalFunction
     params = ComputationParams(args.sizes[-1], args.sizes[-1])
     nodes = midpoint_nodes(params.L)
     orders = range(params.M + 1)
 
-    def closed() -> list[list[tuple[int, int]]]:
-        return [list(inv_one_plus_t2_derivs(t, orders)) for t in nodes]
+    def closed() -> list[tuple[int, list[tuple[int, int]]]]:
+        return [inv_one_plus_t2_derivs(t, orders) for t in nodes]
 
     def oracle() -> list[list[Fraction]]:
         fs = RationalFunction.one_over_one_plus_square().derivatives(
             len(orders))
         return [[f.evaluate(t) for f in fs] for t in nodes]
 
-    if [[Fraction(*v) for v in row] for row in closed()] != oracle():
+    if [[Fraction(num, norm**k) for num, k in nums]
+            for norm, nums in closed()] != oracle():
         raise ReferenceIntegrityError(
             "closed-form and quotient-rule derivatives disagree "
             "(arithmetic bug)")

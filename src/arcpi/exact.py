@@ -1,5 +1,6 @@
 """Exact arbitrary-precision arithmetic: rationals and Gaussian-integer
-powers, two exact adders, decimal expansion and digit-agreement counting.
+powers, the closed form's exact adder, decimal expansion and
+digit-agreement counting.
 
 Rationals are python's ``fractions.Fraction``, which already keeps the
 canonical form this library relies on everywhere: positive denominator,
@@ -9,15 +10,16 @@ is a nonnegative power of one, so all the heavy lifting stays in integer
 arithmetic and a single big denominator appears only when the result is
 turned into a ``Fraction``.
 
-Two adders sum across nodes, and they share no code.  ``pairwise_sum``
-takes unreduced ``(num, den)`` pairs, reduces each once and adds them
-pairwise with ``Fraction +``; the derivative form and the quadrature use
-it.  ``power_base_sum`` takes the closed form's nodes num / (common *
-base**e), whose denominators differ only in a small base, and adds them
-with gcds of bases, never of denominators.  ``decimal_expand`` also takes
-an unreduced pair, so a value that only feeds an expansion needs no gcd.
-It is also the one way digits are certified: every value between two
-values with equal expansions has that expansion too.  Decimal strings come from ``int_to_decimal`` and go back through
+``power_base_sum`` adds the closed form's nodes num / (common * base**e),
+whose denominators differ only in a small base, with gcds of bases, never
+of denominators.  The derivative form's nodes have the same shape, and
+``quadrature.node_sum``, which shares no code with ``power_base_sum``,
+adds them, so the two routes meet through two independent adders.  Both
+build their reduced result with ``coprime_fraction``.  ``decimal_expand``
+also takes an unreduced pair, so a value that only feeds an expansion
+needs no gcd.  It is also the one way digits are certified: every value
+between two values with equal expansions has that expansion too.  Decimal
+strings come from ``int_to_decimal`` and go back through
 ``decimal_to_int``, both free of python's int/str digit limit.
 
 Every value here is immutable and every operation is a pure function.
@@ -54,26 +56,7 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(num, den)
 
 
-def pairwise_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of unreduced ``(num, den)`` int pairs, den > 0: each pair
-    is reduced to a ``Fraction``, then neighbours are added, then the
-    halved list again, until one value is left; ``[]`` sums to 0.
-
-    Each ``Fraction +`` reduces by a gcd whose cost grows with the operand
-    sizes.  A running total makes every addition pay for the whole sum so
-    far; the pairwise tree adds operands of similar size, so only the last
-    few additions are large.
-    """
-    level = [Fraction(n, d) for n, d in pairs] or [Fraction(0)]
-    while len(level) > 1:
-        paired = [a + b for a, b in zip(level[0::2], level[1::2])]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
-    return level[0]
-
-
-def _coprime_fraction(num: int, den: int) -> Fraction:
+def coprime_fraction(num: int, den: int) -> Fraction:
     """The ``Fraction`` num/den of coprime ints with den > 0, built without
     the gcd that ``Fraction(num, den)`` would take again.
 
@@ -96,8 +79,8 @@ def power_base_sum(terms: Iterable[tuple[int, int]], common: int,
     Tree: with e = exponent, (A, P) and (B, Q) stand for A / (common * P**e)
     and B / (common * Q**e).  With g = gcd(P, Q), P * (Q/g) = Q * (P/g) =
     lcm(P, Q), so their sum is the term (A * (Q/g)**e + B * (P/g)**e,
-    P/g * Q).  Neighbours merge so, then the halved list again, as in
-    ``pairwise_sum``; each merge takes a gcd of two bases, never of two
+    P/g * Q).  Neighbours merge so, then the halved list again, until one
+    term is left; each merge takes a gcd of two bases, never of two
     denominators.
 
     Reduction: the tree leaves n / d with d = common * R**e for the root
@@ -127,7 +110,7 @@ def power_base_sum(terms: Iterable[tuple[int, int]], common: int,
             t = square
         num //= t
         den //= t
-    return _coprime_fraction(num, den)
+    return coprime_fraction(num, den)
 
 
 def gaussian_pow(re: int, im: int, k: int) -> tuple[int, int]:

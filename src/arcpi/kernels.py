@@ -19,12 +19,13 @@ Gaussian-integer power, for every m >= 1:
     arctan^(m)(p/q)
         = (-1)^(m+1) (m-1)! q**m Im((p + i q)**m) / (p**2 + q**2)**m.
 
-The derivatives of 1/(1 + t**2) are the arctan derivatives one order up.
-The formula is written once, in ``arctan_derivs_scaled``, which streams
-the derivatives of arctan(x*t) at one t over increasing orders as
-unreduced (num, den) int pairs: the quadrature's derivative oracle shape.
-``inv_one_plus_t2_derivs`` and the one-order ``arctan_deriv`` are views
-of it.
+Every derivative at t = p/q is a numerator over a power of one node norm,
+p**2 + q**2.  The derivatives of 1/(1 + t**2) are the arctan derivatives
+one order up.  The formula is written once, in ``arctan_derivs_scaled``,
+which gives the derivatives of arctan(x*t) at one t over increasing orders
+in the quadrature's derivative oracle shape: the norm, and each order's
+numerator with its exponent of the norm.  ``inv_one_plus_t2_derivs`` and
+the one-order ``arctan_deriv`` are views of it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import factorial
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import OrderError, PoleError
 from .exact import gaussian_pow
@@ -54,37 +55,42 @@ def deriv_inv_one_minus_u2(m: int, u: Fraction) -> Fraction:
 
 def inv_one_plus_t2_derivs(
     t: Fraction, orders: Iterable[int]
-) -> Iterator[tuple[int, int]]:
+) -> tuple[int, list[tuple[int, int]]]:
     """The derivatives of 1/(1 + t**2) at t for increasing orders >= 0, as
-    a quadrature derivative oracle: the arctan pairs one order up."""
+    a quadrature derivative oracle: the arctan values one order up."""
     return arctan_derivs_scaled(Fraction(1), t, [m + 1 for m in orders])
 
 
 def arctan_deriv(m: int, t: Fraction) -> Fraction:
     """m-th derivative of arctan at t, for m >= 1: the
-    ``arctan_derivs_scaled`` pair at order m with x = 1, reduced."""
-    return Fraction(*next(arctan_derivs_scaled(Fraction(1), t, [m])))
+    ``arctan_derivs_scaled`` value at order m with x = 1, reduced."""
+    norm, [(num, k)] = arctan_derivs_scaled(Fraction(1), t, [m])
+    return Fraction(num, norm**k)
 
 
 def arctan_derivs_scaled(
     x: Fraction, t: Fraction, orders: Iterable[int]
-) -> Iterator[tuple[int, int]]:
+) -> tuple[int, list[tuple[int, int]]]:
     """The derivatives of arctan(x*t) with respect to t at increasing
-    orders >= 1, as unreduced (num, den) int pairs with den > 0.
+    orders >= 1, as ``(norm, [(num, m), ...])``: the m-th is
+    num / norm**m, with norm >= 1.
 
     The m-th is x**m arctan^(m)(x*t).  The formula is homogeneous of
     degree 0 in (p, q), so for x = a/b, t = c/d take p = a*c, q = b*d;
-    x**m q**m is then (a*d)**m, and with w = p + iq order m yields
+    x**m q**m is then (a*d)**m, and with w = p + iq the paper's identity
+    gives the numerator over norm**m, norm = p**2 + q**2 = |w|**2:
 
-        ((-1)**(m+1) (m-1)! (a*d)**m Im(w**m), (p**2 + q**2)**m).
+        num = (-1)**(m+1) (m-1)! (a*d)**m Im(w**m).
 
     The first order's power is one ``gaussian_pow``; each later order
-    steps w**k, the coefficient and (p**2 + q**2)**k forward one k at a time.
+    steps w**k and the coefficient forward one k at a time.  No power of
+    the norm is formed.
     """
     a, b = x.numerator, x.denominator
     c, d = t.numerator, t.denominator
     p, q = a * c, b * d
-    ad, norm = a * d, p * p + q * q
+    ad = a * d
+    nums = []
     k = 0
     for m in orders:
         if m <= k:
@@ -93,14 +99,13 @@ def arctan_derivs_scaled(
         if k == 0:
             re, im = gaussian_pow(p, q, m)
             coef = (-1) ** (m + 1) * factorial(m - 1) * ad**m
-            den = norm**m
         else:
             for j in range(k, m):  # order j to j + 1
                 re, im = re * p - im * q, re * q + im * p
                 coef *= -j * ad
-                den *= norm
         k = m
-        yield coef * im, den
+        nums.append((coef * im, m))
+    return p * p + q * q, nums
 
 
 def arctan_deriv_sine_form(m: int, t: float) -> float:

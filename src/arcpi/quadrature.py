@@ -16,25 +16,32 @@ triples in lowest terms for m = 0..M, of which the even-order form keeps
 the rows with a nonzero numerator.
 
 An integrand is a ``DerivativeOracle``: asked once per node, node by node,
-for all of the rule's orders in increasing order, it returns each
-f^(order)(node) as an unreduced (num, den) int pair with den > 0.  A node's
-weighted pairs are added in ints by an lcm add (with g = gcd(den, td):
-num = num*(td/g) + tn*(den/g), den = den*(td/g)), and ``exact.pairwise_sum``
-reduces each node sum once and adds the node sums pairwise.
-Exact addition is associative: the result is that of a term-by-term sum.
+for all of the rule's orders in increasing order, it returns one int base
+>= 1 and, per order, an int numerator with an exponent k >= 0:
+f^(order)(node) = num / base**k.  The paper's identity gives every arctan
+derivative at a node in this shape, a numerator over a power of one node
+norm (``kernels.arctan_derivs_scaled``); a generic rational fits as
+(common_den, [(num, 1), ...]).
+
+The weights are lifted once to one int W = lcm of their denominators, with
+int coefficients c = W * wn / wd.  A node then sums by Horner in its base,
+with no gcd: sum c * num * base**(e - k) over W * base**e, e the largest k.
+``node_sum`` adds the nodes with gcds of bases, never of the node
+denominators, and reduces once.  Exact addition is associative: the result
+is that of a term-by-term sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from typing import Callable, Iterable, Sequence
 
-from .exact import pairwise_sum
+from .exact import coprime_fraction
 
 DerivativeOracle = Callable[
-    [Fraction, Sequence[int]], Iterable[tuple[int, int]]]
+    [Fraction, Sequence[int]], tuple[int, Iterable[tuple[int, int]]]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,14 +70,17 @@ def midpoint_nodes(L: int) -> list[Fraction]:
 
 def monomial_oracle(degree: int) -> DerivativeOracle:
     """Derivative oracle for t**degree, degree >= 0; its integral is
-    1/(degree + 1)."""
+    1/(degree + 1).  At t = c/d its values are over the base d: the m-th
+    derivative is degree!/(degree - m)! c**(degree - m) / d**(degree - m),
+    and 0 past the degree."""
     if degree < 0:
         raise ValueError("monomial degree must be >= 0")
 
-    def f(t: Fraction, orders: Sequence[int]) -> list[tuple[int, int]]:
-        return [(factorial(degree) // factorial(degree - m)
-                 * t.numerator ** (degree - m), t.denominator ** (degree - m))
-                if m <= degree else (0, 1) for m in orders]
+    def f(t: Fraction, orders: Sequence[int]) -> tuple[int, list]:
+        return t.denominator, [
+            (factorial(degree) // factorial(degree - m)
+             * t.numerator ** (degree - m), degree - m)
+            if m <= degree else (0, 0) for m in orders]
     return f
 
 
@@ -92,22 +102,89 @@ def _corrected_midpoint(
     p: ComputationParams,
     weights: list[tuple[int, int, int]],
 ) -> Fraction:
-    """sum over l = 1..L and (order, wn, wd) of wn/wd * f^(order)(node_l),
-    summed in ints within each node, then added pairwise across nodes."""
+    """sum over l = 1..L and (order, wn, wd) of wn/wd * f^(order)(node_l):
+    each node by Horner in its base over W * base**e, then ``node_sum``.
+
+    Raises ValueError when the oracle gives a base < 1, an exponent < 0 or
+    not one value per order.
+    """
     orders = [order for order, _, _ in weights]
-    node_sums = []
+    common = lcm(*(wd for _, _, wd in weights))
+    coefs = [common // wd * wn for _, wn, wd in weights]
+    nodes = []
     for node in midpoint_nodes(p.L):
-        num, den = 0, 1
-        for (_, wn, wd), (vn, vd) in zip(weights, f(node, orders),
-                                         strict=True):
-            if wn:  # odd orders of the all-order form weigh 0
-                tn, td = wn * vn, wd * vd
-                g = gcd(den, td)
-                step = td // g
-                num = num * step + tn * (den // g)
-                den *= step
-        node_sums.append((num, den))
-    return pairwise_sum(node_sums)
+        base, values = f(node, orders)
+        if base < 1:
+            raise ValueError("a derivative oracle's base must be >= 1")
+        acc = e = 0  # acc / base**e
+        for c, (num, k) in zip(coefs, values, strict=True):
+            if k < 0:
+                raise ValueError(
+                    "a derivative oracle's exponents must be >= 0")
+            if not c:  # odd orders of the all-order form weigh 0
+                continue
+            if k >= e:
+                acc = acc * base ** (k - e) + c * num
+                e = k
+            else:
+                acc += c * num * base ** (e - k)
+        nodes.append((acc, base, e))
+    top = max(e for _, _, e in nodes)
+    return node_sum(
+        [(acc * base ** (top - e), base) for acc, base, e in nodes],
+        common, top)
+
+
+def node_sum(nodes: Sequence[tuple[int, int]], common: int,
+             exponent: int) -> Fraction:
+    """Exact sum of n / (common * base**exponent) over the ``(n, base)`` int
+    pairs of ``nodes``, as a reduced ``Fraction``; common >= 1, every
+    base >= 1 and exponent >= 0.  ``[]`` sums to 0.
+
+    Merge: the halves of the list are summed first.  With e = exponent
+    and g = gcd(P, Q), the nodes (A, P) and (B, Q) have the common
+    denominator common * (P/g * Q)**e, so their sum is the node
+    (A * (Q/g)**e + B * (P/g)**e, P/g * Q).  Every gcd is one of two
+    bases, never of two denominators.
+
+    Reduction: the merge leaves n / d, d = common * R**e for the root
+    base R.  Every prime of d divides the radical s = common * R, so n / d
+    is reduced once t = gcd(n mod s, s, d) is 1, and no gcd of n and d is
+    taken.  Each round squares t while the square still divides n and d,
+    then divides both by t, so a prime power p**k goes in about log2(k)
+    rounds rather than k.  Every prime that n and d still share divided
+    the round's first t, so that t is the next round's s: only the first
+    remainder is by the ~1 kbit radical.
+    """
+    if not nodes:
+        return Fraction(0)
+    num, root = _merge(nodes, exponent)
+    if num == 0:
+        return Fraction(0)
+    den = common * root**exponent
+    shared = common * root  # the radical
+    while (t := gcd(num % shared, shared, den)) > 1:
+        shared = t
+        square = t * t
+        while num % square == 0 and den % square == 0:
+            t = square
+            square = t * t
+        num //= t
+        den //= t
+    return coprime_fraction(num, den)
+
+
+def _merge(nodes: Sequence[tuple[int, int]], e: int) -> tuple[int, int]:
+    """The one node ``(n, base)`` that ``node_sum`` reduces: the merged
+    halves of a non-empty list."""
+    if len(nodes) == 1:
+        return nodes[0]
+    half = len(nodes) // 2
+    a, p = _merge(nodes[:half], e)
+    b, q = _merge(nodes[half:], e)
+    g = gcd(p, q)
+    p_g, q_g = p // g, q // g
+    return a * q_g**e + b * p_g**e, p_g * q
 
 
 def integrate_all_orders(

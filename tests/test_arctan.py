@@ -303,8 +303,8 @@ DUAL_ROUTE_XS = (F(1), F(1, 5257), F(1, 485298), F(151, 13627),
 @pytest.mark.parametrize("x", DUAL_ROUTE_XS)
 def test_routes_agree_on_the_dual_route_arguments(x):
     """At L = M = 32 the closed form, added by ``exact.power_base_sum``,
-    and the derivative form, added by ``exact.pairwise_sum``, give the same
-    numerator and denominator: two adders that share no code."""
+    and the derivative form, added by ``quadrature.node_sum``, give the
+    same numerator and denominator: two adders that share no code."""
     p = P(32, 32)
     closed = arctan_closed_form(x, p)
     derivative = arctan_derivative_form(x, p)

@@ -394,8 +394,9 @@ class TestBenchCommand:
         kernel = cli.inv_one_plus_t2_derivs
 
         def broken(t, orders):  # adds 1 to every order-2 value
-            for m, (num, den) in zip(orders, kernel(t, orders)):
-                yield num + (m == 2) * den, den
+            norm, nums = kernel(t, orders)
+            return norm, [(num + (m == 2) * norm**k, k)
+                          for m, (num, k) in zip(orders, nums)]
 
         monkeypatch.setattr(cli, "inv_one_plus_t2_derivs", broken)
         code, out, err = run_cli(capsys, "bench", "--suite", "deriv-paths",
@@ -464,7 +465,7 @@ class TestSelftest:
 
     def test_broken_kernel_fails(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "inv_one_plus_t2_derivs",
-                            lambda t, orders: ((0, 1) for _ in orders))
+                            lambda t, orders: (1, [(0, 0) for _ in orders]))
         code, out, _ = run_cli(capsys, "selftest")
         assert code == 1
         assert "FAIL criterion 4" in out
@@ -482,7 +483,7 @@ class TestSelftest:
 
     def test_json_report_of_broken_kernel(self, capsys, monkeypatch):
         monkeypatch.setattr(acceptance, "inv_one_plus_t2_derivs",
-                            lambda t, orders: ((0, 1) for _ in orders))
+                            lambda t, orders: (1, [(0, 0) for _ in orders]))
         code, out, _ = run_cli(capsys, "selftest", "--format", "json")
         assert code == 1
         report = json.loads(out)
@@ -495,7 +496,7 @@ class TestSelftest:
         script = (
             "from arcpi import acceptance, cli\n"
             "acceptance.inv_one_plus_t2_derivs = "
-            "lambda t, orders: ((0, 1) for _ in orders)\n"
+            "lambda t, orders: (1, [(0, 0) for _ in orders])\n"
             "raise SystemExit(cli.main(['selftest']))\n")
         out = subprocess.run([sys.executable, "-O", "-c", script],
                              capture_output=True, text=True, timeout=120)

@@ -14,7 +14,6 @@ from arcpi.exact import (
     gaussian_pow,
     int_to_decimal,
     matching_digits,
-    pairwise_sum,
     parse_rational,
     power_base_sum,
 )
@@ -246,31 +245,6 @@ class TestMatchingDigits:
         a = decimal_expand(F(1, 3), 3)
         b = decimal_expand(F(-1, 3), 3)
         assert matching_digits(a, b) == 0
-
-
-class TestPairwiseSum:
-    def test_empty_is_zero(self):
-        assert pairwise_sum([]) == 0
-        assert isinstance(pairwise_sum([]), Fraction)
-
-    def test_single_value(self):
-        assert pairwise_sum([(-6, 14)]) == F(-3, 7)
-
-    def test_odd_length(self):
-        pairs = [(1, k) for k in range(1, 8)]
-        assert pairwise_sum(pairs) == sum(F(n, d) for n, d in pairs) \
-            == F(363, 140)
-
-    def test_accepts_an_iterator(self):
-        assert pairwise_sum((1, 2 ** k) for k in range(5)) == F(31, 16)
-
-
-@given(st.lists(st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)),
-                max_size=13))
-def test_pairwise_sum_is_the_exact_sum(pairs):
-    total = pairwise_sum(pairs)
-    assert isinstance(total, Fraction)
-    assert total == sum((Fraction(n, d) for n, d in pairs), Fraction(0))
 
 
 # Bases built from a few small primes, so that neighbours, and the common

@@ -1,11 +1,13 @@
 """Derivative-corrected midpoint rules on [0, 1]."""
 
+import math
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import arcpi.quadrature
 from arcpi.kernels import arctan_derivs_scaled, inv_one_plus_t2_derivs
 from arcpi.quadrature import (
     ComputationParams,
@@ -13,13 +15,14 @@ from arcpi.quadrature import (
     integrate_even_orders,
     midpoint_nodes,
     monomial_oracle,
+    node_sum,
 )
 
 F = Fraction
 
 
 def constant(t, orders):
-    return [(1, 1) if m == 0 else (0, 1) for m in orders]
+    return 1, [(1 if m == 0 else 0, 0) for m in orders]
 
 
 class TestComputationParams:
@@ -139,15 +142,16 @@ class TestIntegrationError:
 
 # --- accumulation order ---------------------------------------------------
 #
-# The rules sum each node in ints and add the node sums pairwise; these
-# references add every weighted term to one running total, node by node,
-# with the weights written out from the rule's formulas, and ask the
-# oracle for one order at a time.
+# The rules sum each node by Horner in its base and add the nodes by
+# ``node_sum``; these references add every weighted term to one running
+# total, node by node, with the weights written out from the rule's
+# formulas, and ask the oracle for one order at a time.
 
 def value(f, m, t):
-    """f^(m)(t) from the oracle f, asked for order m alone."""
-    (pair,) = f(t, [m])
-    return F(*pair)
+    """f^(m)(t) = num / base**k from the oracle f, asked for order m
+    alone."""
+    base, [(num, k)] = f(t, [m])
+    return F(num, base**k)
 
 
 def sequential_all_orders(f, p):
@@ -176,17 +180,22 @@ def arctan_integrand(x):
     return f
 
 
-def non_dividing_denominators(t, orders):
-    """An oracle whose term denominators 3**m + 7 do not divide one
-    another, so each int node sum takes a partial gcd in its lcm add."""
-    return [(t.numerator**m, (3**m + 7) * t.denominator**m) for m in orders]
+def partly_shared_bases(t, orders):
+    """An oracle whose node bases (n + 1)(n + 3) d, for t = n/d, share
+    factors with their neighbours', not always all of them, so
+    ``node_sum`` merges with gcds > 1.  Its exponents do not follow the
+    orders and differ from node to node, so nodes are lifted to one
+    exponent."""
+    n, d = t.numerator, t.denominator
+    return (n + 1) * (n + 3) * d, [((-n) ** m + 1, (m * 5 + n) % 7)
+                                   for m in orders]
 
 
 oracles = st.one_of(
     st.integers(min_value=0, max_value=10).map(monomial_oracle),
     st.fractions(min_value=-20, max_value=20, max_denominator=60)
     .map(arctan_integrand),
-    st.just(non_dividing_denominators),
+    st.just(partly_shared_bases),
 )
 sizes = st.integers(min_value=1, max_value=8)
 
@@ -225,7 +234,71 @@ def test_oracle_called_once_per_node_and_order_in_order(rule, orders):
 @pytest.mark.parametrize("count", [2, 4])
 def test_oracle_must_yield_one_value_per_order(count):
     def f(t, orders):
-        return [(1, 1)] * count
+        return 1, [(1, 0)] * count
 
     with pytest.raises(ValueError):
         integrate_even_orders(f, ComputationParams(2, 4))
+
+
+@pytest.mark.parametrize("rule", [integrate_all_orders,
+                                  integrate_even_orders])
+@pytest.mark.parametrize("base, k", [(0, 1), (-3, 1), (5, -1)])
+def test_oracle_base_and_exponents_are_checked(rule, base, k):
+    """A base < 1 or an exponent < 0 is refused, not summed."""
+    def f(t, orders):
+        return base, [(1, k) for _ in orders]
+
+    with pytest.raises(ValueError):
+        rule(f, ComputationParams(2, 4))
+
+
+# --- node_sum ---------------------------------------------------------------
+
+# Bases built from a few small primes, so that neighbours, and the common
+# factor, often share primes.
+small_prime_bases = st.builds(
+    lambda factors, rest: math.prod(factors) * rest,
+    st.lists(st.sampled_from([2, 3, 5, 7, 7, 7]), max_size=4),
+    st.integers(1, 10**6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(-10**40, 10**40), small_prime_bases),
+                max_size=13),
+       small_prime_bases, st.integers(0, 9))
+@example([], 1, 1)
+@example([(-6, 14)], 1, 1)  # one node
+@example([(12, 2)], 6, 0)  # e = 0
+@example([(0, 3), (0, 10), (0, 3)], 6, 3)  # all-zero numerators
+@example([(5, 2), (-5, 2)], 3, 2)  # cancels over equal bases
+@example([(4, 2), (-1, 1)], 5, 2)  # cancels over different bases
+@example([(1, 6), (5, 6), (7, 6), (-2, 6)], 1, 3)  # equal bases
+@example([(1, 15), (2, 21), (4, 35)], 105, 2)  # bases share W's primes
+@example([(2, 5257), (3 * 7**33, 7 * 751), (7**40, 7)], 3 * 7, 33)
+def test_node_sum_is_the_reduced_exact_sum(nodes, common, exponent):
+    """The same reduced ``Fraction`` as ``Fraction +``: equal numerator,
+    denominator and hash, so a result left unreduced would fail."""
+    got = node_sum(nodes, common, exponent)
+    want = sum((F(num, common * base**exponent) for num, base in nodes),
+               F(0))
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == \
+        (want.numerator, want.denominator)
+    assert hash(got) == hash(want)
+
+
+@pytest.mark.parametrize("k", [1, 2, 600, 1023, 1024, 5000])
+def test_node_sum_strips_a_prime_power_in_logarithmic_rounds(
+        monkeypatch, k):
+    """2**k / 2**k reduces to 1 in at most bit_length(k) rounds, one gcd
+    each, plus the gcd that finds nothing left: t is squared, not
+    divided out one factor at a time."""
+    gcds = []
+
+    def counting_gcd(*args):
+        gcds.append(args)
+        return math.gcd(*args)
+
+    monkeypatch.setattr(arcpi.quadrature, "gcd", counting_gcd)
+    assert node_sum([(2**k, 2)], 1, k) == 1
+    assert len(gcds) <= k.bit_length() + 1
