@@ -175,9 +175,9 @@ def _deriv_value(formula: str, m: int, t: Fraction) -> Fraction | float:
     # quotient rule on the kernel; order shifts down by one for arctan
     if m < 1:
         raise OrderError("arctan derivatives need order >= 1")
-    from .oracle import RationalFunction, oracle_derivative
-    return oracle_derivative(
-        m - 1, RationalFunction.one_over_one_plus_square(), t)
+    from .oracle import RationalFunction
+    return RationalFunction.one_over_one_plus_square().derivatives(m)[
+        m - 1].evaluate(t)
 
 
 def _run_deriv(args: argparse.Namespace) -> int:
@@ -283,35 +283,40 @@ def _bench_pi_ladder(args: argparse.Namespace) -> list[dict[str, str]]:
 
 
 def _bench_deriv_paths(args: argparse.Namespace) -> list[dict[str, str]]:
-    """Closed-form kernel derivatives vs the quotient-rule oracle.
+    """Closed-form kernel derivatives vs the quotient-rule oracle, one row
+    pair per size.
 
     Both paths produce every g(l, m) = (d/dt)^m 1/(1+t^2), m = 0..M, at the
     midpoint nodes: ``eq5`` as the quadrature's oracle values, numerators
     over powers of one node norm, the oracle as ``Fraction``s.  The values
-    must be identical (ReferenceIntegrityError otherwise), only the clock
-    differs.
+    must be identical at every size before any size is timed
+    (ReferenceIntegrityError otherwise); only the clock differs.
     """
     from .oracle import RationalFunction
-    params = ComputationParams(args.sizes[-1], args.sizes[-1])
-    nodes = midpoint_nodes(params.L)
-    orders = range(params.M + 1)
 
-    def closed() -> list[tuple[int, list[tuple[int, int]]]]:
-        return [inv_one_plus_t2_derivs(t, orders) for t in nodes]
+    def routes(size: int) -> dict[str, Callable[[], list]]:
+        nodes = midpoint_nodes(size)
+        orders = range(size + 1)
 
-    def oracle() -> list[list[Fraction]]:
-        fs = RationalFunction.one_over_one_plus_square().derivatives(
-            len(orders))
-        return [[f.evaluate(t) for f in fs] for t in nodes]
+        def closed() -> list[tuple[int, list[tuple[int, int]]]]:
+            return [inv_one_plus_t2_derivs(t, orders) for t in nodes]
 
-    if [[Fraction(num, norm**k) for num, k in nums]
-            for norm, nums in closed()] != oracle():
-        raise ReferenceIntegrityError(
-            "closed-form and quotient-rule derivatives disagree "
-            "(arithmetic bug)")
-    return [{"method": name, "L": str(params.L), "M": str(params.M),
+        def oracle() -> list[list[Fraction]]:
+            fs = RationalFunction.one_over_one_plus_square().derivatives(
+                len(orders))
+            return [[f.evaluate(t) for f in fs] for t in nodes]
+        return {"eq5": closed, "oracle": oracle}
+
+    paths = [(size, routes(size)) for size in args.sizes]
+    for size, fns in paths:
+        if [[Fraction(num, norm**k) for num, k in nums]
+                for norm, nums in fns["eq5"]()] != fns["oracle"]():
+            raise ReferenceIntegrityError(
+                "closed-form and quotient-rule derivatives disagree at "
+                f"L = M = {size} (arithmetic bug)")
+    return [{"method": name, "L": str(size), "M": str(size),
              "elapsed_ms": f"{_median_ms(fn, args.repetitions):.3f}"}
-            for name, fn in (("eq5", closed), ("oracle", oracle))]
+            for size, fns in paths for name, fn in fns.items()]
 
 
 def _run_bench(args: argparse.Namespace) -> int:
@@ -426,8 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=_positive_int, default=1)
     p.add_argument("--sizes", type=_sizes,
                    default=LADDER_SIZES,
-                   help="comma-separated L=M sizes "
-                        "(default 8,16,32,46; deriv-paths uses the last)")
+                   help="comma-separated L=M sizes (default 8,16,32,46)")
     p.add_argument("--digits", type=_positive_int, default=400)
     add_format(p)
     p.set_defaults(run=_run_bench)

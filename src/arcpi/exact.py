@@ -85,10 +85,12 @@ def power_base_sum(terms: Iterable[tuple[int, int]], common: int,
 
     Reduction: the tree leaves n / d with d = common * R**e for the root
     base R.  Every prime of d divides s = common * R, so n / d is reduced
-    once t = gcd(n mod s, s, d) is 1: the remainders are by s, never by a
-    gcd of n and d.  While t > 1, t is squared as long as t**2 still
-    divides n and d, and both are divided by t; the squaring strips a
-    prime power p**k in about log2(k) rounds rather than k.
+    once t = gcd(n mod s, s, d) is 1, and no gcd of n and d is taken.
+    While t > 1, t is squared as long as t**2 still divides n and d, and
+    both are divided by t; the squaring strips a prime power p**k in about
+    log2(k) rounds rather than k.  A prime that n and d still share after
+    a round divided that round's first t, so that t is the next round's s:
+    only the first remainder is by the radical.
     """
     level = list(terms)
     while len(level) > 1:
@@ -106,6 +108,7 @@ def power_base_sum(terms: Iterable[tuple[int, int]], common: int,
     den = common * root**exponent
     radical = common * root
     while (t := gcd(num % radical, radical, den)) > 1:
+        radical = t
         while num % (square := t * t) == 0 and den % square == 0:
             t = square
         num //= t

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import OrderError, PoleError
+from .errors import PoleError
 
 Poly = tuple[Fraction, ...]
 
@@ -115,10 +115,3 @@ class RationalFunction:
         if not b:
             raise PoleError(f"denominator vanishes at {t}")
         return poly_eval(self.num, t) / b**self.power
-
-
-def oracle_derivative(m: int, f: RationalFunction, t: Fraction) -> Fraction:
-    """m-th derivative of f at t: entry m of ``f.derivatives(m + 1)``."""
-    if m < 0:
-        raise OrderError("derivative order must be >= 0")
-    return f.derivatives(m + 1)[m].evaluate(t)

@@ -11,9 +11,8 @@ be recast over even orders only, with m running to floor(M/2) + 1:
     2 sum_{l=1..L} sum_{m=1..} 1 / ((2L)**(2m-1) (2m-1)!) f^(2m-2)(node_l)
 
 Both forms are finite truncations, exact over rationals, and agree term by
-term.  One weight table serves both: (m, numerator, denominator) int
-triples in lowest terms for m = 0..M, of which the even-order form keeps
-the rows with a nonzero numerator.
+term: they differ only in the orders they ask the integrand for, 0..M or
+the even ones.
 
 An integrand is a ``DerivativeOracle``: asked once per node, node by node,
 for all of the rule's orders in increasing order, it returns one int base
@@ -23,9 +22,13 @@ derivative at a node in this shape, a numerator over a power of one node
 norm (``kernels.arctan_derivs_scaled``); a generic rational fits as
 (common_den, [(num, 1), ...]).
 
-The weights are lifted once to one int W = lcm of their denominators, with
-int coefficients c = W * wn / wd.  A node then sums by Horner in its base,
-with no gcd: sum c * num * base**(e - k) over W * base**e, e the largest k.
+The weight of an even order m is weight(m) = 2 / ((2L)**(m+1) (m+1)!),
+and weight(m - 2) = weight(m) (2L)**2 m (m + 1): each divides the one
+before, so their lcm is the top one's denominator.  They lift to int
+coefficients c_m = W * weight(m) by one running product from the top
+even order T, c_T = 1 and c_(m-2) = c_m (2L)**2 m (m + 1), over
+W = L c_0, as weight(0) = 1/L; no lcm and no division.  A node then sums by Horner in its base, with no gcd:
+sum c * num * base**(e - k) over W * base**e, e the largest k.
 ``node_sum`` adds the nodes with gcds of bases, never of the node
 denominators, and reduces once.  Exact addition is associative: the result
 is that of a term-by-term sum.
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 from typing import Callable, Iterable, Sequence
 
 from .exact import coprime_fraction
@@ -84,33 +87,23 @@ def monomial_oracle(degree: int) -> DerivativeOracle:
     return f
 
 
-def _weights(p: ComputationParams) -> list[tuple[int, int, int]]:
-    """The all-order weights ((-1)**m + 1) / ((2L)**(m+1) (m+1)!) as
-    (m, numerator, denominator) int triples in lowest terms, m = 0..M:
-    (m, 1, (2L)**(m+1) (m+1)! / 2) for even m and (m, 0, 1) for odd m."""
-    two_l = 2 * p.L
-    weights = []
-    denom = 1
-    for m in range(p.M + 1):
-        denom *= two_l * (m + 1)  # (2L)**(m+1) * (m+1)!
-        weights.append((m, 1, denom // 2) if m % 2 == 0 else (m, 0, 1))
-    return weights
-
-
 def _corrected_midpoint(
-    f: DerivativeOracle,
-    p: ComputationParams,
-    weights: list[tuple[int, int, int]],
+    f: DerivativeOracle, p: ComputationParams, orders: range
 ) -> Fraction:
-    """sum over l = 1..L and (order, wn, wd) of wn/wd * f^(order)(node_l):
-    each node by Horner in its base over W * base**e, then ``node_sum``.
+    """sum over l = 1..L and the ``orders`` of weight(order) *
+    f^(order)(node_l): each node by Horner in its base over W * base**e,
+    then ``node_sum``.
 
     Raises ValueError when the oracle gives a base < 1, an exponent < 0 or
     not one value per order.
     """
-    orders = [order for order, _, _ in weights]
-    common = lcm(*(wd for _, _, wd in weights))
-    coefs = [common // wd * wn for _, wn, wd in weights]
+    top_even = p.M - p.M % 2
+    step = (2 * p.L) ** 2
+    lifted = {top_even: 1}  # c_m = W * weight(m) for even m
+    for m in range(top_even, 0, -2):
+        lifted[m - 2] = lifted[m] * step * m * (m + 1)
+    coefs = [lifted.get(m, 0) for m in orders]
+    common = p.L * lifted[0]
     nodes = []
     for node in midpoint_nodes(p.L):
         base, values = f(node, orders)
@@ -195,7 +188,7 @@ def integrate_all_orders(
     Odd orders are evaluated and weighted by their (zero) coefficient, so
     the oracle must be defined for them too.
     """
-    return _corrected_midpoint(f, p, _weights(p))
+    return _corrected_midpoint(f, p, range(p.M + 1))
 
 
 def integrate_even_orders(
@@ -206,5 +199,4 @@ def integrate_even_orders(
     Queries f at orders 0, 2, ..., 2*floor(M/2); equal to
     ``integrate_all_orders`` on every input.
     """
-    return _corrected_midpoint(
-        f, p, [row for row in _weights(p) if row[1]])
+    return _corrected_midpoint(f, p, range(0, p.M + 1, 2))

@@ -383,11 +383,35 @@ class TestBenchCommand:
             [("51", "yes")] * 3
 
     def test_deriv_paths(self, capsys):
+        """One eq5/oracle row pair per size, in the order given."""
         code, out, _ = run_cli(capsys, "bench", "--suite", "deriv-paths",
-                               "--sizes", "6", "--format", "json")
+                               "--sizes", "6,3", "--format", "json")
         assert code == 0
         records = [json.loads(line) for line in out.splitlines()]
-        assert [r["method"] for r in records] == ["eq5", "oracle"]
+        assert [(r["method"], r["L"], r["M"]) for r in records] == [
+            ("eq5", "6", "6"), ("oracle", "6", "6"),
+            ("eq5", "3", "3"), ("oracle", "3", "3")]
+
+    @pytest.mark.parametrize("bad_size", [3, 5])
+    def test_deriv_paths_checks_every_size_before_any_row(
+            self, capsys, monkeypatch, bad_size):
+        """A mismatch at either size exits 4 and prints no row, not even
+        the rows of a size that agrees."""
+        kernel = cli.inv_one_plus_t2_derivs
+
+        def broken(t, orders):  # adds 1 to order 0 at the nodes of bad_size
+            norm, nums = kernel(t, orders)
+            if t.denominator != 2 * bad_size:
+                return norm, nums
+            return norm, [(num + (m == 0) * norm**k, k)
+                          for m, (num, k) in zip(orders, nums)]
+
+        monkeypatch.setattr(cli, "inv_one_plus_t2_derivs", broken)
+        code, out, err = run_cli(capsys, "bench", "--suite", "deriv-paths",
+                                 "--sizes", "3,5")
+        assert code == cli.INTEGRITY_EXIT == 4
+        assert out == ""
+        assert f"L = M = {bad_size}" in err
 
     def test_deriv_paths_disagreement_is_integrity_error(self, capsys,
                                                          monkeypatch):

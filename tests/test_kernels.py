@@ -15,7 +15,7 @@ from arcpi.kernels import (
     inv_one_plus_t2_derivs,
 )
 from arcpi.exact import gaussian_pow
-from arcpi.oracle import RationalFunction, oracle_derivative
+from arcpi.oracle import RationalFunction
 
 F = Fraction
 
@@ -151,8 +151,8 @@ class TestScaledVariant:
            signed_rationals)
     def test_chain_rule_against_quotient_rule_oracle(self, m, x, t):
         stream = values(arctan_derivs_scaled(x, t, range(1, m + 1)))
-        assert stream == [x**k * oracle_derivative(k - 1, ONE_PLUS, x * t)
-                          for k in range(1, m + 1)]
+        assert stream == [x**k * g.evaluate(x * t) for k, g
+                          in enumerate(ONE_PLUS.derivatives(m), start=1)]
 
     def test_chain_rule_against_shifted_kernel(self):
         x, t = F(2, 3), F(1, 4)
@@ -250,15 +250,11 @@ class TestOracle:
         (2, ONE_MINUS, F(0), F(2)),
     ])
     def test_hand_values(self, m, f, t, want):
-        assert oracle_derivative(m, f, t) == want
-
-    def test_negative_order(self):
-        with pytest.raises(OrderError):
-            oracle_derivative(-1, ONE_PLUS, F(0))
+        assert f.derivatives(m + 1)[m].evaluate(t) == want
 
     def test_pole_detection(self):
         with pytest.raises(PoleError):
-            oracle_derivative(3, ONE_MINUS, F(1))
+            ONE_MINUS.derivatives(4)[3].evaluate(F(1))
 
     def test_zero_denominator_rejected_at_construction(self):
         with pytest.raises(ZeroDivisionError):
@@ -267,7 +263,7 @@ class TestOracle:
     def test_general_quotient(self):
         # (t^2 + 1) / (t + 2), first derivative at t = 0 is -1/4
         f = RationalFunction.from_pair([1, 0, 1], [2, 1])
-        assert oracle_derivative(1, f, F(0)) == F(-1, 4)
+        assert f.derivative().evaluate(F(0)) == F(-1, 4)
 
 
 T_GRID = [F(0), F(1, 3), F(-1, 3), F(1), F(-1), F(7, 5), F(-7, 5), F(10)]
@@ -275,8 +271,8 @@ U_GRID = [u for u in T_GRID if abs(u) != 1]
 
 
 def oracle_derivative_reference(m: int, f: RationalFunction, t: F) -> F:
-    """The per-order loop ``oracle_derivative`` replaced: m quotient-rule
-    steps from f, then one evaluation."""
+    """The per-order loop that ``RationalFunction.derivatives`` replaced:
+    m quotient-rule steps from f, then one evaluation."""
     for _ in range(m):
         f = f.derivative()
     return f.evaluate(t)
@@ -304,7 +300,6 @@ class TestDerivativeChain:
         for t in grid:
             want = [oracle_derivative_reference(m, f, t) for m in range(16)]
             assert [g.evaluate(t) for g in chain] == want
-            assert [oracle_derivative(m, f, t) for m in range(16)] == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([ONE_PLUS, ONE_MINUS]), st.integers(0, 15),
@@ -314,26 +309,27 @@ class TestDerivativeChain:
         assume(f == ONE_PLUS or abs(t) != 1)  # the poles of 1/(1 - u**2)
         want = [oracle_derivative_reference(k, f, t) for k in range(m + 1)]
         assert [g.evaluate(t) for g in f.derivatives(m + 1)] == want
-        assert oracle_derivative(m, f, t) == want[-1]
 
 
 @pytest.mark.parametrize("m", range(16))
 def test_oracle_agrees_with_odd_kernel(m):
+    g = ONE_PLUS.derivatives(m + 1)[m]
     for t in T_GRID:
-        assert one_plus_t2(m, t) == oracle_derivative(m, ONE_PLUS, t)
+        assert one_plus_t2(m, t) == g.evaluate(t)
 
 
 @pytest.mark.parametrize("m", range(16))
 def test_oracle_agrees_with_even_kernel(m):
+    g = ONE_MINUS.derivatives(m + 1)[m]
     for u in U_GRID:
-        assert deriv_inv_one_minus_u2(m, u) == \
-            oracle_derivative(m, ONE_MINUS, u)
+        assert deriv_inv_one_minus_u2(m, u) == g.evaluate(u)
 
 
 @pytest.mark.parametrize("m", range(1, 16))
 def test_oracle_agrees_with_arctan_derivative(m):
+    g = ONE_PLUS.derivatives(m)[m - 1]
     for t in T_GRID:
-        assert arctan_deriv(m, t) == oracle_derivative(m - 1, ONE_PLUS, t)
+        assert arctan_deriv(m, t) == g.evaluate(t)
 
 
 @settings(max_examples=50, deadline=None)
@@ -341,4 +337,4 @@ def test_oracle_agrees_with_arctan_derivative(m):
        st.fractions(min_value=-100, max_value=100, max_denominator=100))
 def test_odd_kernel_matches_oracle_on_random_rationals(m, t):
     assert values(inv_one_plus_t2_derivs(t, range(m + 1))) == \
-        [oracle_derivative(k, ONE_PLUS, t) for k in range(m + 1)]
+        [g.evaluate(t) for g in ONE_PLUS.derivatives(m + 1)]

@@ -7,7 +7,9 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import arcpi.exact
 import arcpi.quadrature
+from arcpi.exact import power_base_sum
 from arcpi.kernels import arctan_derivs_scaled, inv_one_plus_t2_derivs
 from arcpi.quadrature import (
     ComputationParams,
@@ -92,11 +94,12 @@ def test_rules_identical(L, M):
 
 
 @pytest.mark.parametrize("L", [1, 2, 5])
-@pytest.mark.parametrize("M", [4, 6])
+@pytest.mark.parametrize("M", [4, 6, 61])
 def test_polynomial_exactness(L, M):
     p = ComputationParams(L, M)
     for d in range(M + 1):
-        assert integrate_even_orders(monomial_oracle(d), p) == F(1, d + 1)
+        for rule in (integrate_all_orders, integrate_even_orders):
+            assert rule(monomial_oracle(d), p) == F(1, d + 1)
 
 
 def test_exactness_stops_past_the_order_bound():
@@ -208,9 +211,12 @@ def test_rules_equal_sequential_sum(f, L, M):
     assert integrate_even_orders(f, p) == sequential_even_orders(f, p)
 
 
-def test_even_rule_equals_sequential_sum_at_dual_route_size():
+@pytest.mark.parametrize("L, M", [(32, 32), (1, 121), (3, 61)])
+def test_even_rule_equals_sequential_sum_at_dual_route_size(L, M):
+    """The dual-route size, and lifted weights over 60 and 30 even
+    orders, an odd M each."""
     f = arctan_integrand(F(-139, 10567))
-    p = ComputationParams(32, 32)
+    p = ComputationParams(L, M)
     assert integrate_even_orders(f, p) == sequential_even_orders(f, p)
 
 
@@ -290,15 +296,24 @@ def test_node_sum_is_the_reduced_exact_sum(nodes, common, exponent):
 @pytest.mark.parametrize("k", [1, 2, 600, 1023, 1024, 5000])
 def test_node_sum_strips_a_prime_power_in_logarithmic_rounds(
         monkeypatch, k):
-    """2**k / 2**k reduces to 1 in at most bit_length(k) rounds, one gcd
-    each, plus the gcd that finds nothing left: t is squared, not
-    divided out one factor at a time."""
-    gcds = []
+    """Both adders, ``node_sum`` and ``exact.power_base_sum``, reduce
+    2**k / 2**k to 1 and 2**k / 6**k to 1 / 3**k in at most bit_length(k)
+    rounds, one gcd each, plus the gcd that finds nothing left: t is
+    squared, not divided out one factor at a time.  Only the first
+    remainder is by the radical (2, then 6); each later one is by the
+    previous round's first t."""
+    for module, adder in ((arcpi.quadrature, node_sum),
+                          (arcpi.exact, power_base_sum)):
+        for base, want in ((2, F(1)), (6, F(1, 3**k))):
+            gcds = []
 
-    def counting_gcd(*args):
-        gcds.append(args)
-        return math.gcd(*args)
+            def counting_gcd(*args):
+                gcds.append((args, math.gcd(*args)))
+                return gcds[-1][1]
 
-    monkeypatch.setattr(arcpi.quadrature, "gcd", counting_gcd)
-    assert node_sum([(2**k, 2)], 1, k) == 1
-    assert len(gcds) <= k.bit_length() + 1
+            monkeypatch.setattr(module, "gcd", counting_gcd)
+            assert adder([(2**k, base)], 1, k) == want
+            assert len(gcds) <= k.bit_length() + 1
+            assert gcds[0][0][1] == base
+            for (_, t), ((rem, s, _), _) in zip(gcds, gcds[1:]):
+                assert s == t and 0 <= rem < s
