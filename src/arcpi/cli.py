@@ -33,6 +33,7 @@ import time
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from . import pi
 from .arctan import arctan_closed_form
 from .errors import DomainError, OrderError, ReferenceIntegrityError
 from .exact import decimal_expand, exact_str, matching_digits, parse_rational
@@ -41,7 +42,7 @@ from .kernels import (
     arctan_deriv_sine_form,
     inv_one_plus_t2_derivs,
 )
-from .pi import METHODS, arctan_taylor_reference, measure
+from .pi import METHODS, arctan_taylor_reference, certified_expansion, measure
 from .quadrature import (
     ComputationParams,
     integrate_all_orders,
@@ -137,13 +138,14 @@ def _run_arctan(args: argparse.Namespace) -> int:
     approx = str(expansion) if value else "0"
     matched: int | None = None
     if 0 < abs(args.x) < 1:
-        try:
-            reference = arctan_taylor_reference(args.x, args.digits)
+        try:  # the series errs by less than 10**-(d + 5)
+            reference = certified_expansion(
+                lambda d: (arctan_taylor_reference(args.x, d),
+                           Fraction(1, 10 ** (d + 5))), args.digits)
         except DomainError as exc:  # past the series' ceiling: value only
             print(f"note: no series reference: {exc}", file=sys.stderr)
         else:
-            matched = matching_digits(
-                expansion, decimal_expand(reference, args.digits))
+            matched = matching_digits(expansion, reference)
 
     lines = [exact or approx]
     if matched is not None:
@@ -251,18 +253,20 @@ def _median_ms(fn: Callable[[], object], repetitions: int) -> float:
 def _bench_pi_ladder(args: argparse.Namespace) -> list[dict[str, str]]:
     """Digits and time of eq17, eq18 and gauss at each size.
 
-    eq17 and eq18 are the same rational by two routes, so their expansions
-    must be identical (ReferenceIntegrityError otherwise)."""
+    eq17 and eq18 are the same rational by two routes, ``pi_closed_form``
+    and ``pi_derivative_form``, which must be equal at every size before
+    any row is printed (ReferenceIntegrityError otherwise)."""
     rows = []
     for size in args.sizes:
         params = ComputationParams(size, size)
-        expansions = {}
+        if pi.pi_closed_form(params) != pi.pi_derivative_form(params):
+            raise ReferenceIntegrityError(
+                f"eq17 and eq18 disagree at L = M = {size} (arithmetic bug)")
         for method in ("eq17", "eq18", "gauss"):
             # each elapsed_ms leaves the grading out
             results = [measure(method, params, args.digits)
                        for _ in range(args.repetitions)]
             result = results[0]
-            expansions[method] = result.expansion
             elapsed = statistics.median(r.elapsed_ms for r in results)
             rows.append({
                 "method": method,
@@ -275,10 +279,6 @@ def _bench_pi_ladder(args: argparse.Namespace) -> list[dict[str, str]]:
                            else "no"),
                 "elapsed_ms": f"{elapsed:.3f}",
             })
-        if expansions["eq17"] != expansions["eq18"]:
-            raise ReferenceIntegrityError(
-                f"eq17 and eq18 expansions disagree at L = M = {size} "
-                "(arithmetic bug)")
     return rows
 
 

@@ -9,15 +9,15 @@ Three exact evaluators share the truncation parameters (L, M):
   every term evaluated with the closed-form sum.  Small arguments make
   the truncation far more accurate at equal (L, M).
 
-The Gauss value is stated once, as 9 * L exact closed-form nodes over one
-shared odd_lcm and exponent (``_gauss_nodes``), and ``pi_gauss`` adds them
-with ``exact.power_base_sum``.
-``measure`` grades a ``DecimalExpansion``.  For ``gauss`` it comes from
-``gauss_expansion``, which floors each node at a scaled precision and
-takes the expansion that both ends of the floor-error interval share; the
-exact sum of those same nodes (a 711 kbit denominator at L = M = 46) is
-built only when the two ends differ.  The public ``pi_*`` evaluators return
-reduced ``Fraction``s.
+The closed-form values are one evaluator over Machin-like term tables
+(``EQ17_TERMS``, ``GAUSS_TERMS``): len(terms) * L exact nodes over one
+shared odd_lcm and exponent (``_term_nodes``), which ``pi_closed_form`` and
+``pi_gauss`` add with ``exact.power_base_sum``.  ``measure`` grades
+``eq17`` and ``gauss`` by ``closed_form_expansion``, which floors each node
+at a scaled precision and takes the expansion that both ends of the
+floor-error interval share; the exact sum of the same nodes (711 kbit for
+``gauss`` at L = M = 46) is built only when the two ends differ.  The
+public ``pi_*`` evaluators return reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
 published 1000-digit constant, and Machin's formula summed by
@@ -38,12 +38,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
+from typing import Callable
 
-from .arctan import (
-    arctan_closed_form,
-    arctan_derivative_form,
-    closed_form_nodes,
-)
+from .arctan import arctan_derivative_form, closed_form_nodes
 from .errors import DomainError, ReferenceIntegrityError
 from .exact import (
     DecimalExpansion,
@@ -55,6 +52,7 @@ from .quadrature import ComputationParams
 
 # Machin-like term tables: pi = 4 * sum of mult * arctan(1/recip).
 MACHIN_TERMS: tuple[tuple[int, int], ...] = ((4, 5), (-1, 239))
+EQ17_TERMS: tuple[tuple[int, int], ...] = ((1, 1),)  # the paper's 4*arctan(1)
 # The nine-term Gauss decomposition.  Its multipliers are pinned by the tests:
 # the sum must stay exact to hundreds of digits, so edits here need the same
 # independent re-verification.
@@ -87,8 +85,9 @@ class PiResult:
 
 
 def pi_closed_form(p: ComputationParams) -> Fraction:
-    """4 * arctan(1), arctangent taken as the closed-form truncated sum."""
-    return 4 * arctan_closed_form(Fraction(1), p)
+    """4 * arctan(1), arctangent taken as the closed-form truncated sum:
+    the nodes of ``EQ17_TERMS``, added by ``exact.power_base_sum``."""
+    return power_base_sum(*_term_nodes(EQ17_TERMS, p))
 
 
 def pi_derivative_form(p: ComputationParams) -> Fraction:
@@ -97,16 +96,16 @@ def pi_derivative_form(p: ComputationParams) -> Fraction:
     return 4 * arctan_derivative_form(Fraction(1), p)
 
 
-def _gauss_nodes(
-        p: ComputationParams) -> tuple[list[tuple[int, int]], int, int]:
-    """The 9 * L nodes whose sum is ``pi_gauss(p)``, in the
-    ``(nodes, odd_lcm, e)`` shape of ``closed_form_nodes``: for each Gauss
-    term, the L nodes of 4 * mult * arctan_closed_form(1/recip, p).  Node
-    (num, norm) stands for num / (odd_lcm * norm**e); odd_lcm and e depend
-    only on p, so every term shares them."""
+def _term_nodes(terms: tuple[tuple[int, int], ...], p: ComputationParams
+                ) -> tuple[list[tuple[int, int]], int, int]:
+    """The len(terms) * L nodes whose sum is 4 * sum of mult *
+    arctan(1/recip) by the closed form, in the ``(nodes, odd_lcm, e)``
+    shape of ``closed_form_nodes``.  Node (num, norm) stands for
+    num / (odd_lcm * norm**e); odd_lcm and e depend only on p, so every
+    term shares them."""
     ells = range(1, p.L + 1)
     nodes = []
-    for mult, recip in GAUSS_TERMS:
+    for mult, recip in terms:
         term, common, exponent = closed_form_nodes(Fraction(1, recip), p,
                                                    ells)
         nodes += [(4 * mult * num, norm) for num, norm in term]
@@ -143,12 +142,14 @@ def _leading_floor(num: int, den: int, scale: int) -> int:
     return (num >> k) * scale // (den >> k)
 
 
-def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
-    """``decimal_expand(pi_gauss(p), n_digits)``, certified from per-node
-    floors so that the exact sum is rarely built.
+def closed_form_expansion(terms: tuple[tuple[int, int], ...],
+                          p: ComputationParams, n_digits: int
+                          ) -> DecimalExpansion:
+    """The expansion of the table's closed-form value, certified from
+    per-node floors so that the exact sum is rarely built.
 
-    Value: v = pi_gauss(p) is the sum of the n = 9 * L node fractions
-    num / den of ``_gauss_nodes``, with den = odd_lcm * norm**e > 0.
+    Value: v is the sum of the n = len(terms) * L node fractions num / den
+    of ``_term_nodes``, with den = odd_lcm * norm**e > 0.
 
     Bound: let s = 10**(n_digits + g) and S the sum of the n floors
     ``_leading_floor(num, den, s)``.  Each errs from num * s / den by
@@ -159,11 +160,11 @@ def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
     1,380 bits, not from the 2,450-bit denominator.
 
     Otherwise the digits come from the exact sum of the same nodes,
-    ``power_base_sum``, which is ``pi_gauss(p)``; the nodes are built once
-    either way.  With g = len(str(3n)) + 10 guard digits, an interval
-    of width 3n straddles a digit boundary with a chance under 1e-10.
+    ``power_base_sum``, which is v; the nodes are built once either way.
+    With g = len(str(3n)) + 10 guard digits, an interval of width 3n
+    straddles a digit boundary with a chance under 1e-10.
     """
-    nodes, common, exponent = _gauss_nodes(p)
+    nodes, common, exponent = _term_nodes(terms, p)
     n = len(nodes)
     scale = 10 ** (n_digits + _guard_digits(3 * n))
     total = sum(_leading_floor(num, common * norm**exponent, scale)
@@ -176,8 +177,8 @@ def gauss_expansion(p: ComputationParams, n_digits: int) -> DecimalExpansion:
 
 def pi_gauss(p: ComputationParams) -> Fraction:
     """Nine-term Gauss arctangent combination at shared (L, M): the nodes
-    of ``_gauss_nodes``, added by ``exact.power_base_sum``."""
-    return power_base_sum(*_gauss_nodes(p))
+    of ``GAUSS_TERMS``, added by ``exact.power_base_sum``."""
+    return power_base_sum(*_term_nodes(GAUSS_TERMS, p))
 
 
 TAYLOR_MAX_BITS = 2**17  # ceiling on the reference's common denominator
@@ -271,6 +272,25 @@ def taylor_pi(terms: tuple[tuple[int, int], ...],
     return value, bound
 
 
+def certified_expansion(evaluate: Callable[[int], tuple[Fraction, Fraction]],
+                        n_digits: int) -> DecimalExpansion:
+    """The expansion to n_digits of a value that ``evaluate(d)`` gives as a
+    ``(value, bound)`` pair at working precision d, |true - value| <= bound.
+
+    d starts at n_digits + 5 and its guard doubles until both ends of
+    [value - bound, value + bound] have the same expansion, which the true
+    value then shares (the rule in ``decimal_expand``).  ``evaluate`` may
+    refuse a precision by raising, and the error propagates.
+    """
+    guard = 5
+    while True:
+        value, bound = evaluate(n_digits + guard)
+        expansion = decimal_expand(value - bound, n_digits)
+        if expansion == decimal_expand(value + bound, n_digits):
+            return expansion
+        guard *= 2  # digit boundary inside the interval; widen and retry
+
+
 @lru_cache(maxsize=None)
 def _embedded_digits() -> str:
     """Digit string '3' + 1000 fraction digits from the bundled constant."""
@@ -294,21 +314,13 @@ def _check_reference_digits(n_digits: int) -> None:
 def reference_pi(n_digits: int) -> DecimalExpansion:
     """Verified reference expansion of pi to n_digits fraction digits.
 
-    The Machin value and bound, ``taylor_pi(MACHIN_TERMS, n_digits + guard)``,
-    are recomputed with enough guard digits that both ends of the error
-    interval have the same expansion to n_digits, which pi
-    inside it then shares (the rule in ``decimal_expand``).  That expansion
-    is checked digit for digit against the embedded published constant.
-    Any disagreement is fatal.
+    The Machin value and bound, ``taylor_pi(MACHIN_TERMS, d)``, give pi's
+    ``certified_expansion``.  That expansion is checked digit for digit
+    against the embedded published constant.  Any disagreement is fatal.
     """
     _check_reference_digits(n_digits)
-    guard = 5
-    while True:
-        value, bound = taylor_pi(MACHIN_TERMS, n_digits + guard)
-        expansion = decimal_expand(value - bound, n_digits)
-        if expansion == decimal_expand(value + bound, n_digits):
-            break
-        guard *= 2  # digit boundary inside the interval; widen and retry
+    expansion = certified_expansion(lambda d: taylor_pi(MACHIN_TERMS, d),
+                                    n_digits)
     if expansion.digits() != _embedded_digits()[: n_digits + 1]:
         raise ReferenceIntegrityError(
             "Machin computation disagrees with the embedded pi constant")
@@ -319,19 +331,19 @@ def measure(method: str, p: ComputationParams, n_digits: int) -> PiResult:
     """Run one method, count digits agreeing with the reference, and time it.
 
     ``n_digits`` outside 1..REFERENCE_DIGITS raises DomainError before any
-    computation starts, since no result could be graded.  ``gauss`` digits
-    come from ``gauss_expansion``, which builds no exact sum unless its
-    certificate fails.  The other methods expand their ``Fraction``.
-    ``elapsed_ms`` times the computation and the expansion, not the grading.
+    computation starts, since no result could be graded.  ``eq17`` and
+    ``gauss`` digits come from ``closed_form_expansion`` of their tables,
+    which builds no exact sum unless its certificate fails.  ``eq18`` and
+    ``machin`` expand their ``Fraction``.  ``elapsed_ms`` times the
+    computation and the expansion, not the grading.
     """
     _check_reference_digits(n_digits)
     start = time.perf_counter()
-    if method == "eq17":
-        expansion = decimal_expand(pi_closed_form(p), n_digits)
+    if method in ("eq17", "gauss"):
+        terms = EQ17_TERMS if method == "eq17" else GAUSS_TERMS
+        expansion = closed_form_expansion(terms, p, n_digits)
     elif method == "eq18":
         expansion = decimal_expand(pi_derivative_form(p), n_digits)
-    elif method == "gauss":
-        expansion = gauss_expansion(p, n_digits)
     elif method == "machin":
         expansion = decimal_expand(taylor_pi(MACHIN_TERMS, n_digits)[0],
                                    n_digits)

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from arcpi import acceptance, cli, pi
 from arcpi.arctan import arctan_closed_form
-from arcpi.errors import ReferenceIntegrityError
+from arcpi.errors import DomainError, ReferenceIntegrityError
 from arcpi.exact import decimal_expand
 from arcpi.kernels import arctan_deriv
 from arcpi.quadrature import ComputationParams, integrate_all_orders
@@ -128,6 +128,17 @@ def test_gauss_report_never_reduces(capsys, monkeypatch):
     assert record["matched_digits"] == "50"
 
 
+def test_eq17_report_never_reduces(capsys, monkeypatch):
+    """`pi --method eq17` certifies its digits from the same per-node floors
+    as gauss: it builds no exact sum either."""
+    def build(*args, **kwargs):
+        raise AssertionError("power_base_sum called by the pi command")
+    monkeypatch.setattr(pi, "power_base_sum", build)
+    record = run_json(capsys, "pi", "--method", "eq17", "-L", "46", "-M",
+                      "46", "--digits", "200")
+    assert record["matched_digits"] == "105"
+
+
 class TestIntStrLimit:
     """Exact printers and decimal expansions past python's 4300-digit
     int-to-str limit."""
@@ -215,6 +226,40 @@ class TestArctanCommand:
                                "-L", "10", "-M", "10", "--digits", "12")
         assert code == 0
         assert "matched digits vs series reference:" in out
+
+    @pytest.mark.parametrize("x, digits, matched", [
+        ("13075/64501", 3, 4),         # arctan(x) = 0.19999999999486...
+        ("588001/2900700", 6, 7),
+        ("19978959/98559299", 4, 5),
+    ])
+    def test_graded_against_certified_series_digits(self, capsys, x, digits,
+                                                    matched):
+        # arctan(x) lies within 10**-(digits + 5) of a digit boundary, so
+        # the series value at that depth can expand on the wrong side of
+        # it; the reference's digits are those its whole interval shares
+        record = run_json(capsys, "arctan", "--x", x, "-L", "8", "-M", "8",
+                          "--digits", str(digits))
+        assert record["matched_digits"] == str(matched) == \
+            str(len(record["approx_decimal"]) - 1)
+
+    def test_refusal_at_a_wider_guard_is_noted(self, capsys, monkeypatch):
+        # the first depth's interval straddles 0.1999|0.2000 and the next
+        # depth is refused: the value is printed ungraded, as at the ceiling
+        depths = []
+
+        def series(x, n_digits):
+            depths.append(n_digits)
+            if len(depths) > 1:
+                raise DomainError("past the 131072-bit ceiling")
+            return Fraction(1, 5)
+
+        monkeypatch.setattr(cli, "arctan_taylor_reference", series)
+        code, out, err = run_cli(capsys, "arctan", "--x", "1/5", "-L", "2",
+                                 "-M", "2", "--digits", "4")
+        assert code == 0, err
+        assert depths == [9, 14]
+        assert "note: no series reference:" in err
+        assert "matched digits" not in out
 
     def test_json_fields(self, capsys):
         record = run_json(capsys, "arctan", "--x", "1/5", "-L", "4",
@@ -431,16 +476,12 @@ class TestBenchCommand:
 
     def test_ladder_route_disagreement_is_integrity_error(self, capsys,
                                                          monkeypatch):
-        measured = cli.measure
-
-        def broken(method, params, n_digits):  # eq18 reads 3.000...
-            result = measured(method, params, n_digits)
-            if method != "eq18":
-                return result
-            return pi.PiResult(decimal_expand(Fraction(3), n_digits), method,
-                               1, result.elapsed_ms)
-
-        monkeypatch.setattr(cli, "measure", broken)
+        # the routes are compared as rationals: an error of 10**-60 lies far
+        # below the 20 graded digits, where equal expansions would hide it
+        closed = pi.pi_closed_form
+        monkeypatch.setattr(
+            pi, "pi_closed_form",
+            lambda params: closed(params) + Fraction(1, 10**60))
         code, out, err = run_cli(capsys, "bench", "--suite", "pi-ladder",
                                  "--sizes", "2", "--digits", "20")
         assert code == cli.INTEGRITY_EXIT == 4

@@ -10,14 +10,15 @@ from arcpi import pi
 from arcpi.errors import DomainError
 from arcpi.exact import decimal_expand, matching_digits
 from arcpi.pi import (
+    EQ17_TERMS,
     GAUSS_TERMS,
     MACHIN_TERMS,
     METHODS,
     TAYLOR_MAX_BITS,
-    _gauss_nodes,
     _leading_floor,
+    _term_nodes,
     arctan_taylor_reference,
-    gauss_expansion,
+    closed_form_expansion,
     measure,
     pi_closed_form,
     pi_derivative_form,
@@ -104,7 +105,7 @@ class TestGaussCombination:
 
     @pytest.mark.parametrize("p", [P(1, 0), P(3, 4), P(5, 2)])
     def test_pair_is_the_sum_of_reduced_terms(self, p):
-        nodes, odd_lcm, e = _gauss_nodes(p)
+        nodes, odd_lcm, e = _term_nodes(GAUSS_TERMS, p)
         assert len(nodes) == 9 * p.L
         assert odd_lcm > 0 and all(norm > 0 for _, norm in nodes)
         assert sum(F(num, odd_lcm * norm**e) for num, norm in nodes) == \
@@ -158,53 +159,69 @@ class TestLeadingFloor:
         assert _leading_floor(num, den, scale) == num * scale // den
 
 
-class TestGaussExpansion:
-    """The certified digits of ``gauss_expansion`` against the expansion of
-    the exact sum, ``pi_gauss``.  Every exact sum goes through
-    ``power_base_sum``, so a run that records no call built none."""
-
+def _exact_pair_test():
+    """A drawn-shape test of ``closed_form_expansion`` against the exact
+    sum; each class takes its own, since hypothesis ties a test function to
+    one class."""
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
-    def test_matches_the_exact_pair(self, L, M, n):
+    def test(self, L, M, n):
         p = P(L, M)
-        assert gauss_expansion(p, n) == decimal_expand(pi_gauss(p), n)
+        assert self.expansion(p, n) == decimal_expand(self.exact(p), n)
+    return test
+
+
+class TestGaussExpansion:
+    """The certified digits of ``closed_form_expansion`` over ``TERMS``
+    against the expansion of the exact sum, ``exact(p)``.  Every exact sum
+    goes through ``power_base_sum``, so a run that records no call built
+    none.  ``TestEq17Expansion`` runs every test over ``EQ17_TERMS``."""
+
+    TERMS = GAUSS_TERMS
+    exact = staticmethod(pi_gauss)
+
+    def expansion(self, p, n):
+        return closed_form_expansion(self.TERMS, p, n)
+
+    test_matches_the_exact_pair = _exact_pair_test()
 
     def test_one_node_per_term_at_a_thousand_digits(self):
-        # 251 inner terms per node: the shape that certifies 1000 digits
+        # 251 inner terms per node: the shape that certifies 1000 Gauss digits
         p = P(1, 500)
-        assert gauss_expansion(p, 1000) == decimal_expand(pi_gauss(p), 1000)
+        assert self.expansion(p, 1000) == decimal_expand(self.exact(p), 1000)
 
     @pytest.mark.parametrize("size", [8, 16, 32, 46])
     def test_golden_sizes_certify_without_the_pair(self, monkeypatch, size):
         p = P(size, size)
-        exact = decimal_expand(pi_gauss(p), 400)
+        exact = decimal_expand(self.exact(p), 400)
         calls = []
         monkeypatch.setattr(pi, "power_base_sum",
                             _recording(pi.power_base_sum, calls))
-        assert gauss_expansion(p, 400) == exact
+        assert self.expansion(p, 400) == exact
         assert calls == []
 
     def test_no_guard_falls_back_to_the_pair(self, monkeypatch):
         p = P(4, 6)
-        want = decimal_expand(pi_gauss(p), 50)
+        want = decimal_expand(self.exact(p), 50)
         monkeypatch.setattr(pi, "_guard_digits", lambda terms: 0)
         calls = []
-        monkeypatch.setattr(pi, "_gauss_nodes",
-                            _recording(pi._gauss_nodes, calls))
-        assert gauss_expansion(p, 50) == want
-        assert calls == [(p,)]  # the fallback sums the nodes it holds
+        monkeypatch.setattr(pi, "_term_nodes",
+                            _recording(pi._term_nodes, calls))
+        assert self.expansion(p, 50) == want
+        # the fallback sums the nodes it holds
+        assert calls == [(self.TERMS, p)]
 
     @pytest.mark.parametrize("L", [1, 2, 3])
     @pytest.mark.parametrize("M", range(6))
     def test_one_guard_digit_still_gives_exact_digits(self, monkeypatch,
                                                       L, M):
-        # a floor-error interval of width 9*L now often straddles a digit
-        # boundary: the bound must catch every such case
+        # a floor-error interval of width 3 * len(TERMS) * L now often
+        # straddles a digit boundary: the bound must catch every such case
         monkeypatch.setattr(pi, "_guard_digits", lambda terms: 1)
         p = P(L, M)
-        exact = pi_gauss(p)
+        exact = self.exact(p)
         for n in (1, 5, 20, 50):
-            assert gauss_expansion(p, n) == decimal_expand(exact, n)
+            assert self.expansion(p, n) == decimal_expand(exact, n)
 
     def test_floors_that_round_up_are_not_certified(self, monkeypatch):
         # 199 stub nodes whose dropped low bits make each leading-bit floor
@@ -227,16 +244,17 @@ class TestGaussExpansion:
         exact = (2 - floors) % 10**guard + 10 ** (n_digits + guard)
         # common 1 and exponent 1: each stub node (num, den) is num / den
         nodes = [(num, den)] * (count - 1) + [(exact, scale)]
-        monkeypatch.setattr(pi, "_gauss_nodes", lambda p: (nodes, 1, 1))
-        got = gauss_expansion(P(1, 0), n_digits)
+        monkeypatch.setattr(pi, "_term_nodes", lambda terms, p: (nodes, 1, 1))
+        got = self.expansion(P(1, 0), n_digits)
         assert got == decimal_expand(sum(F(a, b) for a, b in nodes), n_digits)
         assert got.digits() == "19999999"
 
     def test_exact_decimal_is_not_certified_as_truncated(self, monkeypatch):
-        # stub nodes making every floored term exact and the sum 7/4: the
-        # floors alone cannot tell 1.75 from a value just above it, so the
-        # fallback sums the stub nodes
-        mults = {recip: mult for mult, recip in GAUSS_TERMS}
+        # stub nodes making every floored term exact, each term adding
+        # sign(mult)/4 (7/4 for Gauss, 1/4 for eq17): the floors alone
+        # cannot tell that sum from a value just above it, so the fallback
+        # sums the stub nodes
+        mults = {recip: mult for mult, recip in self.TERMS}
 
         def nodes(x, p, ells):
             mult = mults[x.denominator]
@@ -247,10 +265,20 @@ class TestGaussExpansion:
         monkeypatch.setattr(pi, "closed_form_nodes", nodes)
         monkeypatch.setattr(pi, "power_base_sum",
                             _recording(pi.power_base_sum, calls))
-        got = gauss_expansion(P(1, 0), 5)
+        got = self.expansion(P(1, 0), 5)
         assert len(calls) == 1
-        assert got == decimal_expand(F(7, 4), 5)
+        value = F(sum(1 if mult > 0 else -1 for mult, _ in self.TERMS), 4)
+        assert got == decimal_expand(value, 5)
         assert not got.truncated
+
+
+class TestEq17Expansion(TestGaussExpansion):
+    """``closed_form_expansion`` over eq17's one-term table, whose exact
+    sum is ``pi_closed_form``."""
+
+    TERMS = EQ17_TERMS
+    exact = staticmethod(pi_closed_form)
+    test_matches_the_exact_pair = _exact_pair_test()
 
 
 def taylor_reference_by_terms(x: F, n_digits: int) -> F:
@@ -443,6 +471,14 @@ class TestMeasure:
         assert r.matched_digits == matching_digits(
             r.expansion, reference_pi(40))
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
+    def test_eq17_matches_the_derivative_route(self, L, M, n):
+        # the floor certificate against the other route's exact rational
+        p = P(L, M)
+        assert measure("eq17", p, n).expansion == \
+            decimal_expand(pi_derivative_form(p), n)
+
     def test_methods_list(self):
         assert set(METHODS) == {"eq17", "eq18", "gauss", "machin"}
 
@@ -463,9 +499,9 @@ class TestMeasure:
             return evaluator
 
         reference_pi(10)  # cached, so grading below calls no stub
-        for name, value in (("pi_closed_form", F(3)),
-                            ("pi_derivative_form", F(3)),
-                            ("gauss_expansion", decimal_expand(F(3), 10)),
+        for name, value in (("pi_derivative_form", F(3)),
+                            ("closed_form_expansion",
+                             decimal_expand(F(3), 10)),
                             ("taylor_pi", (F(3), F(0)))):
             monkeypatch.setattr(pi, name, recorder(name, value))
         with pytest.raises(DomainError):
