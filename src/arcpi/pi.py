@@ -13,9 +13,14 @@ The closed-form values are one evaluator over Machin-like term tables
 (``EQ17_TERMS``, ``GAUSS_TERMS``): len(terms) * L exact nodes over one
 shared odd_lcm and exponent (``_term_nodes``), which ``pi_closed_form`` and
 ``pi_gauss`` add with ``exact.power_base_sum``.  ``measure`` grades
-``eq17`` and ``gauss`` by ``closed_form_expansion``, which floors each node
-at a scaled precision and takes the expansion that both ends of the
-floor-error interval share; the exact sum of the same nodes (711 kbit for
+``eq17`` and ``gauss`` by ``closed_form_expansion``, which takes the
+expansion that both ends of a certificate interval share.  For a table
+whose recips are all >= 2, such as Gauss's, the interval comes from the
+closed form's power series in x, arctan's Maclaurin series through
+x**(2K-1) with coefficients c_n <= 1 past it (``_series_floor``): one
+shared table of fixed-point coefficients and one int Horner pass per
+term.  At x = 1 (eq17) the series does not decay, and the interval comes
+from a floor of each node.  The exact sum of the nodes (711 kbit for
 ``gauss`` at L = M = 46) is built only when the two ends differ.  The
 public ``pi_*`` evaluators return reduced ``Fraction``s.
 
@@ -142,37 +147,152 @@ def _leading_floor(num: int, den: int, scale: int) -> int:
     return (num >> k) * scale // (den >> k)
 
 
+def _series_coefficients(p: ComputationParams, count: int,
+                         scale: int) -> list[int]:
+    """floor(s_n * c_n * scale) for the odd n < 2 * count, in increasing
+    order: the closed form's power series at p in fixed point, with s_n
+    and c_n as in ``_series_floor``, which proves the sums taken here."""
+    K, two_l = p.inner_terms, 2 * p.L
+    top = 2 * count - 1
+    coefs = [(scale if n % 4 == 1 else -scale) // n
+             for n in range(1, min(top, 2 * K - 1) + 1, 2)]
+    if top <= 2 * K - 1:
+        return coefs
+    lcm = math.lcm(*range(1, top + 1, 2))
+    weights = [lcm // (2 * m - 1) for m in range(1, count + 1)]
+    squares = [r * r for r in range(1, two_l, 2)]
+    powers = [1] * p.L
+    sums = [p.L]  # sums[i] = T_(2i)
+    for _ in range(count - 1):
+        powers = [a * b for a, b in zip(powers, squares)]
+        sums.append(sum(powers))
+    power = two_l ** (2 * K + 1)  # (2L)**n
+    for n in range(2 * K + 1, top + 1, 2):
+        half = (n + 1) // 2
+        direct = 2 * K <= half  # K terms m <= K, or half - K terms m > K
+        part = sum(math.comb(n - 1, 2 * m - 2) * weights[m - 1]
+                   * sums[half - m]
+                   for m in (range(1, K + 1) if direct
+                             else range(K + 1, half + 1)))
+        # lcm * (2L)**n * c_n
+        total = 2 * part if direct else lcm * power // n - 2 * part
+        coefs.append((total if n % 4 == 1 else -total) * scale
+                     // (lcm * power))
+        power *= two_l * two_l
+    return coefs
+
+
+def _series_floor(terms: tuple[tuple[int, int], ...], p: ComputationParams,
+                  scale: int) -> int:
+    """An int S with |v * scale - S| < 16 * sum(|mult|), where v is the
+    table's closed-form value 4 * sum of mult * A(1/recip), A =
+    ``arctan_closed_form`` at p, for a table whose recips are all >= 2.
+
+    Series: let K = p.inner_terms, r_l = 2l - 1, T_j = sum over l = 1..L
+    of r_l**j and s_n = (-1)**((n-1)/2).  Node l of A(x) is
+    2 Im sum_{m=1..K} z**(2m-1)/(2m-1), with z = num/conj(w) =
+    1/(r_l - 2iL/x) (``closed_form_nodes``).  With y = x/(2L),
+    z = iy/(1 + i r_l y), so z**(2m-1) = (iy)**(2m-1) * sum_{j>=0}
+    C(2m-2+j, j) (-i r_l y)**j, which converges while |r_l y| < 1, that is
+    for |x| < 2L/(2L-1) and so for every |x| <= 1/2.  The term in y**n,
+    n = 2m-1+j, carries i**(2m-1) (-i)**j = (-1)**j i**n: real for even n,
+    and s_n i for odd n (then j is even).  Summed over l and m,
+
+        A(x) = sum over odd n of s_n c_n x**n,  c_n = 2 C_n / (2L)**n,
+        C_n = sum_{m=1..min(K, (n+1)/2)} C(n-1, 2m-2) T_(n-2m+1) / (2m-1).
+
+    Taylor part: for n <= 2K-1 the m-sum takes every m <= (n+1)/2, so it
+    is the y**n coefficient of the whole series 2 Im artanh(z).  As
+    (1+z)/(1-z) = (1 + i(r_l+1)y)/(1 + i(r_l-1)y), that is
+    arctan(2l y) - arctan((2l-2) y), whose y**n coefficient is
+    s_n ((2l)**n - (2l-2)**n)/n.  Over l = 1..L it telescopes to
+    s_n (2L)**n/n, so c_n = 1/n: A agrees with arctan's Maclaurin series
+    through x**(2K-1).
+
+    Tail: every term of the m-sum is positive, and over all m <= (n+1)/2
+    it gives 1/n, so 0 < c_n <= 1/n <= 1 for every odd n.  The series past
+    x**N is therefore below the sum of |x|**n over odd n >= N + 2, that is
+    |x|**(N+2)/(1 - x**2).
+
+    Cheaper sum: for n >= 2K+1, c_n is both 2 C_n/(2L)**n, K terms, and
+    1/n - 2 D_n/(2L)**n, where D_n sums the (n+1)/2 - K terms with m > K;
+    ``_series_coefficients`` takes the shorter.  With lcm = lcm(1, 3, ...,
+    2 * count - 1), lcm (2L)**n c_n is an int either way, so each
+    coefficient a_n = floor(s_n c_n scale) is one exact int floor.  The
+    second form keeps L = 1 at a large M, whose K is large, to a few terms.
+
+    Error budget, for one term x = 1/q, q >= 2: take the odd n <= N =
+    2 * count - 1, count = floor(E/2), E = ceil((bits(scale) + 1) /
+    (bits(q) - 1)).  Then N + 2 >= E and q**(N+2) >= 2**((bits(q)-1) E)
+    >= 2 * scale, so with 1 - x**2 >= 3/4 the tail is below 2/3 of a unit
+    of 1/scale.  The floors a_n err by less than 1 each, together by less
+    than the sum of q**-n over odd n, q/(q**2 - 1) <= 2/3.  Horner takes
+    h = a_N, then h = a_n + floor(h/q**2) for n = N-2 down to 1, and
+    R = floor(h/q); the floor made in forming h_n errs by less than 1 and
+    reaches R scaled by q**-n, so these floors err by less than 2/3 in
+    all, and the last by less than 1.  So |A(x) scale - R| < 2/3 + 2/3 +
+    2/3 + 1 = 3 < 4, and S = sum of 4 mult R errs by less than
+    16 sum(|mult|).
+    The tail comes from the bit lengths alone, so no q**N is computed.
+    """
+    budget = scale.bit_length() + 1
+    counts = [-(-budget // (recip.bit_length() - 1)) // 2
+              for _, recip in terms]
+    coefs = _series_coefficients(p, max(counts), scale)
+    total = 0
+    for (mult, recip), count in zip(terms, counts):
+        square, acc = recip * recip, 0
+        for a in reversed(coefs[:count]):
+            acc = a + acc // square
+        total += 4 * mult * (acc // recip)
+    return total
+
+
 def closed_form_expansion(terms: tuple[tuple[int, int], ...],
                           p: ComputationParams, n_digits: int
                           ) -> DecimalExpansion:
-    """The expansion of the table's closed-form value, certified from
-    per-node floors so that the exact sum is rarely built.
+    """The expansion of the table's closed-form value v, certified from an
+    interval of floors at the scale s = 10**(n_digits + g), so that the
+    exact sum is rarely built.
 
-    Value: v is the sum of the n = len(terms) * L node fractions num / den
-    of ``_term_nodes``, with den = odd_lcm * norm**e > 0.
+    Series, for a table whose recips are all >= 2 (``GAUSS_TERMS``): the
+    power series of ``_series_floor``, whose floor sum S puts v in
+    [(S - w) / s, (S + w) / s], w = 16 * sum(|mult|).  Nodes otherwise
+    (``EQ17_TERMS``, at x = 1, where the series does not decay): v is the
+    sum of the n = len(terms) * L node fractions num / den of
+    ``_term_nodes``, den = odd_lcm * norm**e > 0, and S is the sum of the
+    n floors ``_leading_floor(num, den, s)``.  Each errs from num * s / den
+    by less than 1 below and 2 above, so v lies in [(S - n) / s,
+    (S + 2n) / s].  A floor reads only the leading bits of its node: at
+    L = M = 46 each 1,370-bit quotient comes from a divisor of about 1,380
+    bits, not from the 2,450-bit denominator.
 
-    Bound: let s = 10**(n_digits + g) and S the sum of the n floors
-    ``_leading_floor(num, den, s)``.  Each errs from num * s / den by
-    less than 1 below and 2 above, so v lies in [(S - n) / s, (S + 2n) / s].
-    When the two ends have equal expansions, so does v (the rule in
-    ``decimal_expand``).  A floor reads only the leading bits of its node:
-    at L = M = 46 each 1,370-bit quotient comes from a divisor of about
-    1,380 bits, not from the 2,450-bit denominator.
-
-    Otherwise the digits come from the exact sum of the same nodes,
-    ``power_base_sum``, which is v; the nodes are built once either way.
-    With g = len(str(3n)) + 10 guard digits, an interval of width 3n
-    straddles a digit boundary with a chance under 1e-10.
+    When the interval's two ends have equal expansions, so does v (the rule
+    in ``decimal_expand``).  Otherwise the digits come from the exact sum
+    of the nodes, ``power_base_sum``, which is v; the node producer's nodes
+    are built once either way.  With g = ``_guard_digits`` of the
+    interval's width, it straddles a digit boundary with a chance under
+    1e-10.
     """
-    nodes, common, exponent = _term_nodes(terms, p)
-    n = len(nodes)
-    scale = 10 ** (n_digits + _guard_digits(3 * n))
-    total = sum(_leading_floor(num, common * norm**exponent, scale)
-                for num, norm in nodes)
-    low = decimal_expand((total - n, scale), n_digits)
-    if low == decimal_expand((total + 2 * n, scale), n_digits):
-        return low
-    return decimal_expand(power_base_sum(nodes, common, exponent), n_digits)
+    nodes = None
+    if all(recip >= 2 for _, recip in terms):
+        width = 16 * sum(abs(mult) for mult, _ in terms)
+        scale = 10 ** (n_digits + _guard_digits(2 * width))
+        total = _series_floor(terms, p, scale)
+        low, high = total - width, total + width
+    else:
+        nodes = _term_nodes(terms, p)
+        node_list, common, exponent = nodes
+        n = len(node_list)
+        scale = 10 ** (n_digits + _guard_digits(3 * n))
+        total = sum(_leading_floor(num, common * norm**exponent, scale)
+                    for num, norm in node_list)
+        low, high = total - n, total + 2 * n
+    expansion = decimal_expand((low, scale), n_digits)
+    if expansion == decimal_expand((high, scale), n_digits):
+        return expansion
+    return decimal_expand(power_base_sum(*(nodes or _term_nodes(terms, p))),
+                          n_digits)
 
 
 def pi_gauss(p: ComputationParams) -> Fraction:
@@ -333,9 +453,10 @@ def measure(method: str, p: ComputationParams, n_digits: int) -> PiResult:
     ``n_digits`` outside 1..REFERENCE_DIGITS raises DomainError before any
     computation starts, since no result could be graded.  ``eq17`` and
     ``gauss`` digits come from ``closed_form_expansion`` of their tables,
-    which builds no exact sum unless its certificate fails.  ``eq18`` and
-    ``machin`` expand their ``Fraction``.  ``elapsed_ms`` times the
-    computation and the expansion, not the grading.
+    which builds no exact sum unless its certificate fails: eq17's from its
+    node floors, gauss's from the power series, with no node built.
+    ``eq18`` and ``machin`` expand their ``Fraction``.  ``elapsed_ms`` times
+    the computation and the expansion, not the grading.
     """
     _check_reference_digits(n_digits)
     start = time.perf_counter()

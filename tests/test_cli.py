@@ -118,7 +118,7 @@ def test_pi_json_matches_golden_bytes(capsys, golden):
 
 
 def test_gauss_report_never_reduces(capsys, monkeypatch):
-    """`pi --method gauss` certifies its digits from per-node floors: it
+    """`pi --method gauss` certifies its digits from the power series: it
     builds no exact sum."""
     def build(*args, **kwargs):
         raise AssertionError("power_base_sum called by the pi command")
@@ -137,6 +137,25 @@ def test_eq17_report_never_reduces(capsys, monkeypatch):
     record = run_json(capsys, "pi", "--method", "eq17", "-L", "46", "-M",
                       "46", "--digits", "200")
     assert record["matched_digits"] == "105"
+
+
+@pytest.mark.parametrize("method, digits, matched, node_calls", [
+    ("gauss", "400", "274", 0),  # the series: no node, no exact sum
+    ("eq17", "200", "105", 1),   # one term's nodes, floored
+])
+def test_only_eq17_builds_closed_form_nodes(capsys, monkeypatch, method,
+                                            digits, matched, node_calls):
+    calls = {"closed_form_nodes": [], "power_base_sum": []}
+    for name, seen in calls.items():
+        def recording(*args, fn=getattr(pi, name), seen=seen):
+            seen.append(args)
+            return fn(*args)
+        monkeypatch.setattr(pi, name, recording)
+    record = run_json(capsys, "pi", "--method", method, "-L", "46", "-M",
+                      "46", "--digits", digits)
+    assert record["matched_digits"] == matched
+    assert len(calls["closed_form_nodes"]) == node_calls
+    assert calls["power_base_sum"] == []
 
 
 class TestIntStrLimit:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from arcpi import pi
 from arcpi.errors import DomainError
-from arcpi.exact import decimal_expand, matching_digits
+from arcpi.exact import decimal_expand, matching_digits, power_base_sum
 from arcpi.pi import (
     EQ17_TERMS,
     GAUSS_TERMS,
@@ -171,19 +171,16 @@ def _exact_pair_test():
     return test
 
 
-class TestGaussExpansion:
+class _ExpansionTests:
     """The certified digits of ``closed_form_expansion`` over ``TERMS``
     against the expansion of the exact sum, ``exact(p)``.  Every exact sum
     goes through ``power_base_sum``, so a run that records no call built
-    none.  ``TestEq17Expansion`` runs every test over ``EQ17_TERMS``."""
-
-    TERMS = GAUSS_TERMS
-    exact = staticmethod(pi_gauss)
+    none.  ``TestGaussExpansion`` runs these over ``GAUSS_TERMS``, whose
+    interval comes from the power series, and ``TestEq17Expansion`` over
+    ``EQ17_TERMS``, whose interval comes from the node floors."""
 
     def expansion(self, p, n):
         return closed_form_expansion(self.TERMS, p, n)
-
-    test_matches_the_exact_pair = _exact_pair_test()
 
     def test_one_node_per_term_at_a_thousand_digits(self):
         # 251 inner terms per node: the shape that certifies 1000 Gauss digits
@@ -215,13 +212,67 @@ class TestGaussExpansion:
     @pytest.mark.parametrize("M", range(6))
     def test_one_guard_digit_still_gives_exact_digits(self, monkeypatch,
                                                       L, M):
-        # a floor-error interval of width 3 * len(TERMS) * L now often
-        # straddles a digit boundary: the bound must catch every such case
+        # the certificate interval now often straddles a digit boundary:
+        # the bound must catch every such case
         monkeypatch.setattr(pi, "_guard_digits", lambda terms: 1)
         p = P(L, M)
         exact = self.exact(p)
         for n in (1, 5, 20, 50):
             assert self.expansion(p, n) == decimal_expand(exact, n)
+
+
+class TestGaussExpansion(_ExpansionTests):
+    """``closed_form_expansion`` over the nine Gauss terms, whose exact
+    sum is ``pi_gauss``: every recip is >= 2, so the certificate comes
+    from the power series."""
+
+    TERMS = GAUSS_TERMS
+    exact = staticmethod(pi_gauss)
+    test_matches_the_exact_pair = _exact_pair_test()
+
+    def test_straddling_coefficients_fall_back_once(self, monkeypatch):
+        # a zero coefficient table makes the floor sum 0, so the interval
+        # [-w, w] holds the boundary 0 and its two ends differ in sign
+        p = P(4, 6)
+        want = decimal_expand(self.exact(p), 50)
+        monkeypatch.setattr(pi, "_series_coefficients",
+                            lambda p, count, scale: [0] * count)
+        calls = []
+        monkeypatch.setattr(pi, "power_base_sum",
+                            _recording(pi.power_base_sum, calls))
+        assert self.expansion(p, 50) == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_interval_ends_reach_the_error_budget(self, monkeypatch, end):
+        # a floor sum S whose interval [S - w, S + w], w = 16 * sum(|mult|),
+        # has one end on a digit boundary: the value may lie on it, so the
+        # certificate falls back, where one unit less of width would not
+        n_digits = 5
+        width = 16 * sum(abs(mult) for mult, _ in self.TERMS)
+
+        def floor_sum(terms, p, scale):
+            boundary = 314159 * (scale // 10**n_digits)
+            return boundary + width if end == "lower" else boundary - width
+
+        p = P(2, 2)
+        want = decimal_expand(self.exact(p), n_digits)
+        monkeypatch.setattr(pi, "_series_floor", floor_sum)
+        calls = []
+        monkeypatch.setattr(pi, "power_base_sum",
+                            _recording(pi.power_base_sum, calls))
+        assert self.expansion(p, n_digits) == want
+        assert len(calls) == 1
+
+
+class TestEq17Expansion(_ExpansionTests):
+    """``closed_form_expansion`` over eq17's one-term table, whose exact
+    sum is ``pi_closed_form``: at x = 1 the series does not decay, so the
+    certificate comes from the node floors."""
+
+    TERMS = EQ17_TERMS
+    exact = staticmethod(pi_closed_form)
+    test_matches_the_exact_pair = _exact_pair_test()
 
     def test_floors_that_round_up_are_not_certified(self, monkeypatch):
         # 199 stub nodes whose dropped low bits make each leading-bit floor
@@ -251,9 +302,9 @@ class TestGaussExpansion:
 
     def test_exact_decimal_is_not_certified_as_truncated(self, monkeypatch):
         # stub nodes making every floored term exact, each term adding
-        # sign(mult)/4 (7/4 for Gauss, 1/4 for eq17): the floors alone
-        # cannot tell that sum from a value just above it, so the fallback
-        # sums the stub nodes
+        # sign(mult)/4 (1/4 for eq17): the floors alone cannot tell that
+        # sum from a value just above it, so the fallback sums the stub
+        # nodes
         mults = {recip: mult for mult, recip in self.TERMS}
 
         def nodes(x, p, ells):
@@ -272,13 +323,100 @@ class TestGaussExpansion:
         assert not got.truncated
 
 
-class TestEq17Expansion(TestGaussExpansion):
-    """``closed_form_expansion`` over eq17's one-term table, whose exact
-    sum is ``pi_closed_form``."""
+TAKANO_TERMS = ((12, 49), (32, 57), (-5, 239), (12, 110443))
 
-    TERMS = EQ17_TERMS
-    exact = staticmethod(pi_closed_form)
-    test_matches_the_exact_pair = _exact_pair_test()
+
+@pytest.mark.parametrize("terms", [
+    MACHIN_TERMS, TAKANO_TERMS, ((1, 2),), ((3, 7), (-2, 3)),
+], ids=["machin", "takano", "half", "mixed-signs"])
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
+@example(1, 0, 1)
+@example(13, 40, 400)
+def test_series_tables_match_the_exact_sum(terms, L, M, n):
+    # tables with every recip >= 2 take the series producer, as Gauss does
+    p = P(L, M)
+    assert closed_form_expansion(terms, p, n) == \
+        decimal_expand(power_base_sum(*_term_nodes(terms, p)), n)
+
+
+def series_coefficient(L: int, K: int, n: int) -> F:
+    """c_n of the closed form's power series at L nodes and K inner terms,
+    by its defining sum over m <= min(K, (n+1)/2), in Fractions."""
+    def power_sum(j):
+        return sum((2 * l - 1) ** j for l in range(1, L + 1))
+    inner = sum(F(math.comb(n - 1, 2 * m - 2) * power_sum(n - 2 * m + 1),
+                  2 * m - 1)
+                for m in range(1, min(K, (n + 1) // 2) + 1))
+    return 2 * inner / (2 * L) ** n
+
+
+def series_sign(n: int) -> int:
+    return 1 if n % 4 == 1 else -1
+
+
+class TestClosedFormSeries:
+    """The closed form at (L, M) as a power series in x, checked with exact
+    rationals: a failure is a fault in the identity or in its bound."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 46])
+    @pytest.mark.parametrize("K", [1, 2, 5, 24])
+    def test_taylor_part_and_first_differing_coefficient(self, L, K):
+        for n in range(1, 2 * K, 2):
+            assert series_coefficient(L, K, n) == F(1, n)
+        n = 2 * K + 1
+        assert series_coefficient(L, K, n) == \
+            F(1, n) - F(1, n * (2 * L) ** (2 * K))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 46])
+    @pytest.mark.parametrize("K", [1, 2, 5, 24])
+    def test_coefficients_are_at_most_one(self, L, K):
+        for n in range(1, 2 * K + 22, 2):
+            assert abs(series_coefficient(L, K, n)) <= 1
+
+    @pytest.mark.parametrize("L, M", [(1, 0), (1, 5), (2, 3), (3, 6)])
+    @pytest.mark.parametrize("recip", [2, 3, 7, 239, 5257])
+    def test_truncation_is_within_the_tail_bound(self, L, M, recip):
+        p = P(L, M)
+        x = F(1, recip)
+        value = arctan_closed_form(x, p)
+        K = p.inner_terms
+        for N in (1, 2 * K - 1, 2 * K + 1, 2 * K + 7):
+            partial = sum(series_sign(n) * series_coefficient(L, K, n)
+                          * x**n for n in range(1, N + 1, 2))
+            assert abs(value - partial) <= x ** (N + 2) / (1 - x * x)
+
+    @pytest.mark.parametrize("L, M, count", [
+        (5, 10, 3),     # every n in the Taylor part
+        (1, 0, 12),     # K = 1: the direct sum over m <= K
+        (3, 4, 20),     # the direct sum past n = 4K - 1
+        (2, 40, 25),    # K = 21: the sum over m > K
+        (46, 46, 40),   # both forms
+    ])
+    @pytest.mark.parametrize("scale", [10**30, 2**100 + 7])
+    def test_fixed_point_table_is_the_floor(self, L, M, count, scale):
+        K = P(L, M).inner_terms
+        want = [math.floor(series_sign(n) * series_coefficient(L, K, n)
+                           * scale)
+                for n in range(1, 2 * count, 2)]
+        assert pi._series_coefficients(P(L, M), count, scale) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-3000, 3000).filter(bool),
+                              st.integers(2, 10**6)),
+                    min_size=1, max_size=4),
+           st.integers(1, 6), st.integers(0, 12), st.integers(0, 80))
+    @example([(1, 2)], 1, 0, 0)
+    @example([(2805, 5257), (-398, 9466)], 3, 4, 60)
+    def test_floor_sum_is_within_the_error_budget(self, terms, L, M,
+                                                  digits):
+        p = P(L, M)
+        scale = 10**digits
+        value = 4 * sum(mult * arctan_closed_form(F(1, recip), p)
+                        for mult, recip in terms)
+        total = pi._series_floor(tuple(terms), p, scale)
+        assert abs(value * scale - total) < \
+            16 * sum(abs(mult) for mult, _ in terms)
 
 
 def taylor_reference_by_terms(x: F, n_digits: int) -> F:
