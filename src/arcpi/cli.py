@@ -127,6 +127,20 @@ def _run_pi(args: argparse.Namespace) -> int:
 
 # --- arctan ---------------------------------------------------------------
 
+def _arctan_reference(x: Fraction, d: int) -> tuple[Fraction, Fraction]:
+    """arctan(x), 0 < |x| < 1, at working precision d as ``(value, bound)``:
+    the Taylor series, which errs by less than 10**-(d + 5), or, where it
+    refuses, x itself with the alternating bound |arctan(x) - x| <= |x|**3/3
+    while that bound is below 10**-d.  Past both, the refusal propagates."""
+    try:
+        return arctan_taylor_reference(x, d), Fraction(1, 10 ** (d + 5))
+    except DomainError:
+        bound = abs(x) ** 3 / 3
+        if bound * 10**d >= 1:
+            raise
+        return x, bound
+
+
 def _run_arctan(args: argparse.Namespace) -> int:
     params = ComputationParams(args.L, args.M)
     start = time.perf_counter()
@@ -138,10 +152,9 @@ def _run_arctan(args: argparse.Namespace) -> int:
     approx = str(expansion) if value else "0"
     matched: int | None = None
     if 0 < abs(args.x) < 1:
-        try:  # the series errs by less than 10**-(d + 5)
+        try:
             reference = certified_expansion(
-                lambda d: (arctan_taylor_reference(args.x, d),
-                           Fraction(1, 10 ** (d + 5))), args.digits)
+                lambda d: _arctan_reference(args.x, d), args.digits)
         except DomainError as exc:  # past the series' ceiling: value only
             print(f"note: no series reference: {exc}", file=sys.stderr)
         else:

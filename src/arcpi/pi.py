@@ -147,38 +147,57 @@ def _leading_floor(num: int, den: int, scale: int) -> int:
     return (num >> k) * scale // (den >> k)
 
 
-def _series_coefficients(p: ComputationParams, count: int,
-                         scale: int) -> list[int]:
-    """floor(s_n * c_n * scale) for the odd n < 2 * count, in increasing
-    order: the closed form's power series at p in fixed point, with s_n
-    and c_n as in ``_series_floor``, which proves the sums taken here."""
+def _series_coefficients(p: ComputationParams, count: int, scale: int,
+                         recip_min: int) -> list[int]:
+    """The closed form's power series at p in fixed point, tapered by
+    u = 2**k x with k = bits(recip_min) - 2, the largest k with
+    2**(k+1) <= recip_min: for the odd n < 2 * count, in increasing order,
+    floor(s_n * c * scale / 2**(k*n)), a number of bits(scale) - k*n bits.
+    c is c_n where the complement 1/n - c_n is kept, and 1/n where it is
+    provably negligible for every term with recip >= recip_min.
+    ``_series_floor`` proves the sums, the bound and the rule used here.
+
+    The kept orders are one run of odd n, found by testing the rule from
+    each end.  If the run's last order has half = (n+1)/2 <= 3K, its
+    complement sum is at most twice the direct one, and every kept order
+    takes the complement, which reads only the T_j with j < 2(half - K):
+    26 rows past T_0 instead of 57 at L = M = 46 and 400 digits.
+    Otherwise each order takes the shorter sum.
+    """
     K, two_l = p.inner_terms, 2 * p.L
-    top = 2 * count - 1
-    coefs = [(scale if n % 4 == 1 else -scale) // n
-             for n in range(1, min(top, 2 * K - 1) + 1, 2)]
-    if top <= 2 * K - 1:
+    k = recip_min.bit_length() - 2
+    coefs = [((scale if n % 4 == 1 else -scale) >> k * n) // n
+             for n in range(1, 2 * count, 2)]
+    cut = (2 * K + 1) * two_l ** (2 * K)
+
+    def kept(n: int) -> bool:  # else (1/n - c_n) scale / recip_min**n < 2**-n
+        return math.comb(n - 1, 2 * K) * scale << n >= cut * recip_min ** n
+
+    first, last = 2 * K + 1, 2 * count - 1
+    while first <= last and not kept(first):
+        first += 2
+    while last > first and not kept(last):
+        last -= 2
+    if first > last:
         return coefs
-    lcm = math.lcm(*range(1, top + 1, 2))
-    weights = [lcm // (2 * m - 1) for m in range(1, count + 1)]
+    top = (last + 1) // 2
+    complement_only = top <= 3 * K
     squares = [r * r for r in range(1, two_l, 2)]
     powers = [1] * p.L
     sums = [p.L]  # sums[i] = T_(2i)
-    for _ in range(count - 1):
+    for _ in range((top - K if complement_only else top) - 1):
         powers = [a * b for a, b in zip(powers, squares)]
         sums.append(sum(powers))
-    power = two_l ** (2 * K + 1)  # (2L)**n
-    for n in range(2 * K + 1, top + 1, 2):
+    for n in range(first, last + 1, 2):
         half = (n + 1) // 2
-        direct = 2 * K <= half  # K terms m <= K, or half - K terms m > K
-        part = sum(math.comb(n - 1, 2 * m - 2) * weights[m - 1]
-                   * sums[half - m]
+        direct = half >= 2 * K and not complement_only
+        part = sum(math.comb(n, 2 * m - 1) * sums[half - m]
                    for m in (range(1, K + 1) if direct
                              else range(K + 1, half + 1)))
-        # lcm * (2L)**n * c_n
-        total = 2 * part if direct else lcm * power // n - 2 * part
-        coefs.append((total if n % 4 == 1 else -total) * scale
-                     // (lcm * power))
-        power *= two_l * two_l
+        power = two_l ** n
+        total = 2 * part if direct else power - 2 * part  # n (2L)**n c_n
+        coefs[n // 2] = ((total if n % 4 == 1 else -total) * scale
+                         >> k * n) // (n * power)
     return coefs
 
 
@@ -196,55 +215,70 @@ def _series_floor(terms: tuple[tuple[int, int], ...], p: ComputationParams,
     C(2m-2+j, j) (-i r_l y)**j, which converges while |r_l y| < 1, that is
     for |x| < 2L/(2L-1) and so for every |x| <= 1/2.  The term in y**n,
     n = 2m-1+j, carries i**(2m-1) (-i)**j = (-1)**j i**n: real for even n,
-    and s_n i for odd n (then j is even).  Summed over l and m,
+    and s_n i for odd n (then j is even).  Summed over l and m, with
+    C(n-1, 2m-2)/(2m-1) = C(n, 2m-1)/n,
 
-        A(x) = sum over odd n of s_n c_n x**n,  c_n = 2 C_n / (2L)**n,
-        C_n = sum_{m=1..min(K, (n+1)/2)} C(n-1, 2m-2) T_(n-2m+1) / (2m-1).
+        A(x) = sum over odd n of s_n c_n x**n,  c_n = 2 C_n / (n (2L)**n),
+        C_n = sum_{m=1..min(K, (n+1)/2)} C(n, 2m-1) T_(n-2m+1).
 
-    Taylor part: for n <= 2K-1 the m-sum takes every m <= (n+1)/2, so it
-    is the y**n coefficient of the whole series 2 Im artanh(z).  As
-    (1+z)/(1-z) = (1 + i(r_l+1)y)/(1 + i(r_l-1)y), that is
-    arctan(2l y) - arctan((2l-2) y), whose y**n coefficient is
-    s_n ((2l)**n - (2l-2)**n)/n.  Over l = 1..L it telescopes to
-    s_n (2L)**n/n, so c_n = 1/n: A agrees with arctan's Maclaurin series
-    through x**(2K-1).
+    Taylor part: for n <= 2K-1 the m-sum takes every odd i = 2m-1 <= n,
+    and sum over odd i of C(n, i) r**(n-i) = ((r+1)**n - (r-1)**n)/2 by
+    the binomial theorem.  With r_l + 1 = 2l and r_l - 1 = 2l - 2 that
+    telescopes over l = 1..L to (2L)**n/2, so c_n = 1/n: A agrees with
+    arctan's Maclaurin series through x**(2K-1).
 
     Tail: every term of the m-sum is positive, and over all m <= (n+1)/2
     it gives 1/n, so 0 < c_n <= 1/n <= 1 for every odd n.  The series past
     x**N is therefore below the sum of |x|**n over odd n >= N + 2, that is
     |x|**(N+2)/(1 - x**2).
 
-    Cheaper sum: for n >= 2K+1, c_n is both 2 C_n/(2L)**n, K terms, and
-    1/n - 2 D_n/(2L)**n, where D_n sums the (n+1)/2 - K terms with m > K;
-    ``_series_coefficients`` takes the shorter.  With lcm = lcm(1, 3, ...,
-    2 * count - 1), lcm (2L)**n c_n is an int either way, so each
-    coefficient a_n = floor(s_n c_n scale) is one exact int floor.  The
-    second form keeps L = 1 at a large M, whose K is large, to a few terms.
+    Complement: for n >= 2K+1, 1/n - c_n = 2 D_n/(n (2L)**n), where D_n
+    sums the (n+1)/2 - K terms with m > K, so ``_series_coefficients``
+    can take either sum, and n (2L)**n c_n is an int either way.  Its
+    size: 0 <= 1/n - c_n <= C(n-1, 2K)/((2K+1) (2L)**(2K)), with equality
+    at n = 2K+1.  In the form 2/(2L)**n sum_{m>K} C(n-1, i) T_(n-1-i)/(i+1),
+    i = 2m-2 >= 2K even, use 1/(i+1) <= 1/(2K+1), T_j <= L (2L-1)**j and
+    C(n-1, i) <= C(n-1, 2K) C(n-1-2K, i-2K); the sum of
+    C(n-1-2K, i-2K) (2L-1)**(n-1-i) over the even i is at most
+    (2L)**(n-1-2K) by the binomial theorem, and the factors collect to the
+    bound.  At n = 2K+1 the only term is m = K+1, i = 2K, T_0 = L: equal.
 
-    Error budget, for one term x = 1/q, q >= 2: take the odd n <= N =
-    2 * count - 1, count = floor(E/2), E = ceil((bits(scale) + 1) /
-    (bits(q) - 1)).  Then N + 2 >= E and q**(N+2) >= 2**((bits(q)-1) E)
+    Dropped complements: where C(n-1, 2K) scale 2**n < (2K+1) (2L)**(2K)
+    recip_min**n, the complement reaches A(x) scale, |x| <= 1/recip_min,
+    by less than 2**-n, and the table takes 1/n.  The left side over the
+    right, f(n), has f(n+2)/f(n) = 4 (n+1) n / ((n+1-2K)(n-2K)
+    recip_min**2), which falls as n grows, so log f is concave and the
+    orders that keep their complement are one run.
+
+    Error budget, for one term x = 1/q, q >= recip_min >= 2: take the odd
+    n <= N = 2 * count - 1, count = floor(E/2), E = ceil((bits(scale) + 1)
+    / (bits(q) - 1)).  Then N + 2 >= E and q**(N+2) >= 2**((bits(q)-1) E)
     >= 2 * scale, so with 1 - x**2 >= 3/4 the tail is below 2/3 of a unit
-    of 1/scale.  The floors a_n err by less than 1 each, together by less
-    than the sum of q**-n over odd n, q/(q**2 - 1) <= 2/3.  Horner takes
-    h = a_N, then h = a_n + floor(h/q**2) for n = N-2 down to 1, and
-    R = floor(h/q); the floor made in forming h_n errs by less than 1 and
-    reaches R scaled by q**-n, so these floors err by less than 2/3 in
-    all, and the last by less than 1.  So |A(x) scale - R| < 2/3 + 2/3 +
-    2/3 + 1 = 3 < 4, and S = sum of 4 mult R errs by less than
-    16 sum(|mult|).
-    The tail comes from the bit lengths alone, so no q**N is computed.
+    of 1/scale.  Let u = 2**k x <= 1/2, so that A(x) scale is the sum of
+    s_n c_n scale/2**(kn) u**n.  The table's floors b_n err by less than
+    1 each, together by less than the sum of u**n over odd n,
+    u/(1 - u**2) <= 2/3, and the dropped complements by less than the sum
+    of 2**-n, also 2/3.  Horner takes h = b_N, then h = b_n + floor(h u**2)
+    for n = N-2 down to 1, and R = floor(h u), in ints: floor(h u**2) =
+    (h << 2k) // q**2 and floor(h u) = (h << k) // q.  The floor made in
+    forming h_n errs by less than 1 and reaches R scaled by u**n, so these
+    floors err by less than 2/3 in all, and the last by less than 1.  So
+    |A(x) scale - R| < 4 * 2/3 + 1 = 11/3 < 4, and S = sum of 4 mult R
+    errs by less than 16 sum(|mult|).  The tail comes from the bit lengths
+    alone, so no q**N is computed.
     """
     budget = scale.bit_length() + 1
     counts = [-(-budget // (recip.bit_length() - 1)) // 2
               for _, recip in terms]
-    coefs = _series_coefficients(p, max(counts), scale)
+    recip_min = min(recip for _, recip in terms)
+    k = recip_min.bit_length() - 2  # the table's taper
+    coefs = _series_coefficients(p, max(counts), scale, recip_min)
     total = 0
     for (mult, recip), count in zip(terms, counts):
         square, acc = recip * recip, 0
-        for a in reversed(coefs[:count]):
-            acc = a + acc // square
-        total += 4 * mult * (acc // recip)
+        for b in reversed(coefs[:count]):
+            acc = b + (acc << 2 * k) // square
+        total += 4 * mult * ((acc << k) // recip)
     return total
 
 

@@ -280,6 +280,17 @@ class TestArctanCommand:
         assert "note: no series reference:" in err
         assert "matched digits" not in out
 
+    def test_tiny_argument_past_the_ceiling_is_graded(self, capsys):
+        # the series interval around 0 straddles the sign until the depth
+        # passes 40,000 digits, where the series refuses; x itself, within
+        # |x|**3/3 of arctan(x), certifies the 21 digits
+        code, out, err = run_cli(capsys, "arctan", "--x", "1/1" + "0" * 40000,
+                                 "-L", "1", "-M", "0", "--digits", "20")
+        assert code == 0, err
+        assert err == ""
+        assert out.splitlines() == ["0." + "0" * 20,
+                                    "matched digits vs series reference: 21"]
+
     def test_json_fields(self, capsys):
         record = run_json(capsys, "arctan", "--x", "1/5", "-L", "4",
                           "-M", "4", "--digits", "10", "--exact")

@@ -159,15 +159,17 @@ class TestLeadingFloor:
         assert _leading_floor(num, den, scale) == num * scale // den
 
 
-def _exact_pair_test():
+def _exact_pair_test(*examples):
     """A drawn-shape test of ``closed_form_expansion`` against the exact
-    sum; each class takes its own, since hypothesis ties a test function to
-    one class."""
+    sum, with each (L, M, n) of ``examples`` run too; each class takes its
+    own, since hypothesis ties a test function to one class."""
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 13), st.integers(0, 40), st.integers(1, 400))
     def test(self, L, M, n):
         p = P(L, M)
         assert self.expansion(p, n) == decimal_expand(self.exact(p), n)
+    for shape in examples:
+        test = example(*shape)(test)
     return test
 
 
@@ -228,7 +230,10 @@ class TestGaussExpansion(_ExpansionTests):
 
     TERMS = GAUSS_TERMS
     exact = staticmethod(pi_gauss)
-    test_matches_the_exact_pair = _exact_pair_test()
+    # the gauss-274 shape, the smallest 1000-digit rung (every order keeps
+    # its complement), a deep node pair and the Taylor table alone
+    test_matches_the_exact_pair = _exact_pair_test(
+        (46, 46, 400), (8, 8, 1000), (2, 40, 400), (1, 0, 1000))
 
     def test_straddling_coefficients_fall_back_once(self, monkeypatch):
         # a zero coefficient table makes the floor sum 0, so the interval
@@ -236,7 +241,7 @@ class TestGaussExpansion(_ExpansionTests):
         p = P(4, 6)
         want = decimal_expand(self.exact(p), 50)
         monkeypatch.setattr(pi, "_series_coefficients",
-                            lambda p, count, scale: [0] * count)
+                            lambda p, count, scale, recip_min: [0] * count)
         calls = []
         monkeypatch.setattr(pi, "power_base_sum",
                             _recording(pi.power_base_sum, calls))
@@ -355,6 +360,34 @@ def series_sign(n: int) -> int:
     return 1 if n % 4 == 1 else -1
 
 
+def tapered_table(L: int, M: int, count: int, scale: int,
+                  recip_min: int) -> tuple[list[int], list[int]]:
+    """The contract of ``pi._series_coefficients``, in Fractions, and the
+    orders past x**(2K-1) that keep their complement.
+
+    The table is in u = 2**k x, k = bits(recip_min) - 2.  An order keeps
+    its complement exactly where the cutoff rule says so, and is then the
+    floor of s_n c_n scale / 2**(k n).  A dropped order is the floor of the
+    Taylor coefficient's s_n scale / (n 2**(k n)), and its complement
+    reaches a term with recip >= recip_min by less than 2**-n units of
+    1/scale.
+    """
+    K = P(L, M).inner_terms
+    k = recip_min.bit_length() - 2
+    cut = (2 * K + 1) * (2 * L) ** (2 * K)
+    want, kept = [], []
+    for n in range(1, 2 * count, 2):
+        c = series_coefficient(L, K, n)
+        if n > 2 * K:
+            if math.comb(n - 1, 2 * K) * scale * 2**n >= cut * recip_min**n:
+                kept.append(n)
+            else:
+                assert (F(1, n) - c) * scale * 2**n < recip_min**n
+                c = F(1, n)
+        want.append(math.floor(series_sign(n) * c * F(scale, 2 ** (k * n))))
+    return want, kept
+
+
 class TestClosedFormSeries:
     """The closed form at (L, M) as a power series in x, checked with exact
     rationals: a failure is a fault in the identity or in its bound."""
@@ -386,6 +419,19 @@ class TestClosedFormSeries:
                           * x**n for n in range(1, N + 1, 2))
             assert abs(value - partial) <= x ** (N + 2) / (1 - x * x)
 
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 46])
+    @pytest.mark.parametrize("K", [1, 2, 5, 24])
+    def test_complement_is_within_its_bound(self, L, K):
+        # 0 <= 1/n - c_n <= C(n-1, 2K) / ((2K+1) (2L)**(2K)), equal at the
+        # first order past the Taylor part (both sides are 0 before it)
+        def bound(n):
+            return F(math.comb(n - 1, 2 * K),
+                     (2 * K + 1) * (2 * L) ** (2 * K))
+        for n in range(1, 2 * K + 22, 2):
+            assert 0 <= F(1, n) - series_coefficient(L, K, n) <= bound(n)
+        n = 2 * K + 1
+        assert F(1, n) - series_coefficient(L, K, n) == bound(n)
+
     @pytest.mark.parametrize("L, M, count", [
         (5, 10, 3),     # every n in the Taylor part
         (1, 0, 12),     # K = 1: the direct sum over m <= K
@@ -395,11 +441,17 @@ class TestClosedFormSeries:
     ])
     @pytest.mark.parametrize("scale", [10**30, 2**100 + 7])
     def test_fixed_point_table_is_the_floor(self, L, M, count, scale):
-        K = P(L, M).inner_terms
-        want = [math.floor(series_sign(n) * series_coefficient(L, K, n)
-                           * scale)
-                for n in range(1, 2 * count, 2)]
-        assert pi._series_coefficients(P(L, M), count, scale) == want
+        for recip_min in (2, 3, 7, 239, 5257):
+            want, _ = tapered_table(L, M, count, scale, recip_min)
+            assert pi._series_coefficients(P(L, M), count, scale,
+                                           recip_min) == want
+
+    def test_gauss_274_table_keeps_one_run_of_complements(self):
+        # L = M = 46 at 400 digits: orders 49..101 keep their complement,
+        # and the seven orders 103..115 take 1/n
+        want, kept = tapered_table(46, 46, 58, 10**416, 5257)
+        assert kept == list(range(49, 102, 2))
+        assert pi._series_coefficients(P(46, 46), 58, 10**416, 5257) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(-3000, 3000).filter(bool),
@@ -417,6 +469,15 @@ class TestClosedFormSeries:
         total = pi._series_floor(tuple(terms), p, scale)
         assert abs(value * scale - total) < \
             16 * sum(abs(mult) for mult, _ in terms)
+
+    def test_floor_sum_at_the_gauss_274_shape(self):
+        # the scale closed_form_expansion takes for 400 digits at L = M = 46,
+        # where 27 of the 34 orders past x**(2K-1) keep their complement
+        p, width = P(46, 46), 16 * sum(abs(mult) for mult, _ in GAUSS_TERMS)
+        scale = 10 ** (400 + pi._guard_digits(2 * width))
+        assert scale == 10**416
+        total = pi._series_floor(GAUSS_TERMS, p, scale)
+        assert abs(pi_gauss(p) * scale - total) < width
 
 
 def taylor_reference_by_terms(x: F, n_digits: int) -> F:
