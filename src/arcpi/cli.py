@@ -53,7 +53,6 @@ from .quadrature import (
 
 LADDER_SIZES = (8, 16, 32, 46)
 
-USAGE_EXIT = 2
 DOMAIN_EXIT = 3
 INTEGRITY_EXIT = 4
 

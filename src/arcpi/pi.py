@@ -20,9 +20,10 @@ closed form's power series in x, arctan's Maclaurin series through
 x**(2K-1) with coefficients c_n <= 1 past it (``_series_floor``): one
 shared table of fixed-point coefficients and one int Horner pass per
 term.  At x = 1 (eq17) the series does not decay, and the interval comes
-from a floor of each node.  The exact sum of the nodes (711 kbit for
-``gauss`` at L = M = 46) is built only when the two ends differ.  The
-public ``pi_*`` evaluators return reduced ``Fraction``s.
+from the exact int floor of each node at the certificate's scale.  The
+exact sum of the nodes (711 kbit for ``gauss`` at L = M = 46) is built
+only when the two ends differ.  The public ``pi_*`` evaluators return
+reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
 published 1000-digit constant, and Machin's formula summed by
@@ -121,30 +122,6 @@ def _guard_digits(width: int) -> int:
     """Guard digits for a certificate interval ``width`` units of 1/s wide:
     room for the width, and ten digits more."""
     return len(str(width)) + 10
-
-
-def _leading_floor(num: int, den: int, scale: int) -> int:
-    """A floor q of num * scale / den, den > 0, from the leading bits of
-    num and den, with q - 1 < num * scale / den < q + 2.
-
-    q = ((num >> k) * scale) // (den >> k), where k is the largest shift
-    that leaves den >> k >= 2**(bits(scale) + 4 + D), with
-    D = max(0, bits(num) - bits(den) + 1); k = 0 when den is smaller
-    (then q is the exact floor).
-
-    Proof: with num = (num' + e1) * 2**k and den = (den' + e2) * 2**k,
-    e1 and e2 in [0, 1), the truncation moves num / den by
-    num'/den' - num/den = (num/den * e2 - e1) / den', whose size is
-    below (|num/den| + 1) / den'.  |num| < 2**bits(num) and
-    den >= 2**(bits(den) - 1) give |num/den| < 2**D, so |num/den| + 1
-    <= 2**(D + 1), while den' >= 2**(bits(scale) + 4 + D) > scale *
-    2**(4 + D).  The scaled move is therefore below 1/8, and the floor
-    of num' * scale / den' adds less than 1 more.
-    """
-    margin = scale.bit_length() + 5 + max(
-        0, num.bit_length() - den.bit_length() + 1)
-    k = max(0, den.bit_length() - margin)
-    return (num >> k) * scale // (den >> k)
 
 
 def _series_coefficients(p: ComputationParams, count: int, scale: int,
@@ -295,11 +272,8 @@ def closed_form_expansion(terms: tuple[tuple[int, int], ...],
     (``EQ17_TERMS``, at x = 1, where the series does not decay): v is the
     sum of the n = len(terms) * L node fractions num / den of
     ``_term_nodes``, den = odd_lcm * norm**e > 0, and S is the sum of the
-    n floors ``_leading_floor(num, den, s)``.  Each errs from num * s / den
-    by less than 1 below and 2 above, so v lies in [(S - n) / s,
-    (S + 2n) / s].  A floor reads only the leading bits of its node: at
-    L = M = 46 each 1,370-bit quotient comes from a divisor of about 1,380
-    bits, not from the 2,450-bit denominator.
+    n exact floors num * s // den.  Each lies less than 1 below
+    num * s / den and never above it, so v lies in [S / s, (S + n) / s].
 
     When the interval's two ends have equal expansions, so does v (the rule
     in ``decimal_expand``).  Otherwise the digits come from the exact sum
@@ -318,10 +292,10 @@ def closed_form_expansion(terms: tuple[tuple[int, int], ...],
         nodes = _term_nodes(terms, p)
         node_list, common, exponent = nodes
         n = len(node_list)
-        scale = 10 ** (n_digits + _guard_digits(3 * n))
-        total = sum(_leading_floor(num, common * norm**exponent, scale)
+        scale = 10 ** (n_digits + _guard_digits(n))
+        total = sum(num * scale // (common * norm**exponent)
                     for num, norm in node_list)
-        low, high = total - n, total + 2 * n
+        low, high = total, total + n
     expansion = decimal_expand((low, scale), n_digits)
     if expansion == decimal_expand((high, scale), n_digits):
         return expansion

@@ -15,7 +15,6 @@ from arcpi.pi import (
     MACHIN_TERMS,
     METHODS,
     TAYLOR_MAX_BITS,
-    _leading_floor,
     _term_nodes,
     arctan_taylor_reference,
     closed_form_expansion,
@@ -119,44 +118,6 @@ def _recording(fn, calls):
         calls.append(args)
         return fn(*args, **kwargs)
     return wrapper
-
-
-@st.composite
-def sized_ints(draw, min_bits=0, max_bits=3000):
-    """An int with a drawn bit length, so that small and huge sizes are
-    both common."""
-    bits = draw(st.integers(min_bits, max_bits))
-    return draw(st.integers(2 ** bits // 2, 2 ** bits - 1))
-
-
-class TestLeadingFloor:
-    """``_leading_floor`` against exact ``Fraction`` arithmetic."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(sized_ints(), st.booleans(), sized_ints(min_bits=1),
-           st.integers(0, 900))
-    @example(0, False, 1, 0)
-    @example(1, True, 1, 0)
-    @example(2**2440 - 1, True, 2**2452 + 1, 414)
-    @example(2**3000 - 1, False, 3, 400)
-    @example(2**1500 + 1, True, 2**2999 - 1, 1)
-    def test_floor_is_within_one_below_and_two_above(self, num, negative,
-                                                    den, digits):
-        num = -num if negative else num
-        scale = 10**digits
-        q = _leading_floor(num, den, scale)
-        assert q - 1 < F(num * scale, den) < q + 2
-
-    @pytest.mark.parametrize("num, den, digits", [
-        (0, 7, 3), (-22, 7, 5), (355, 113, 10), (-(2**200 + 3), 2**80 - 1, 20),
-        (2**2440 - 1, 2**1400 + 1, 400),
-    ], ids=["zero", "negative", "positive", "wide-negative", "wide-node"])
-    def test_small_denominators_take_the_exact_floor(self, num, den, digits):
-        # den has no more bits than the margin, so no bit is dropped (k = 0)
-        scale = 10**digits
-        extra = max(0, num.bit_length() - den.bit_length() + 1)
-        assert den.bit_length() <= scale.bit_length() + 5 + extra
-        assert _leading_floor(num, den, scale) == num * scale // den
 
 
 def _exact_pair_test(*examples):
@@ -277,33 +238,37 @@ class TestEq17Expansion(_ExpansionTests):
 
     TERMS = EQ17_TERMS
     exact = staticmethod(pi_closed_form)
-    test_matches_the_exact_pair = _exact_pair_test()
+    # the divisor outgrows the scale at the first two shapes, and 16/5 at
+    # (1, 1, 5) terminates, so only the exact sum gives its digits
+    test_matches_the_exact_pair = _exact_pair_test(
+        (1, 400, 200), (46, 46, 20), (1, 1, 5), (100, 100, 1000))
 
-    def test_floors_that_round_up_are_not_certified(self, monkeypatch):
-        # 199 stub nodes whose dropped low bits make each leading-bit floor
-        # land above its node, and one exact node that puts a digit
-        # boundary 2 units below the floor sum S: the exact sum lies below
-        # that boundary, so only the interval's lower end S - n keeps the
-        # digits above it from being certified
-        n_digits, count = 5, 200
-        guard = pi._guard_digits(3 * count)
-        scale = 10 ** (n_digits + guard)
-        kept = 2 ** (scale.bit_length() + 5)  # den >> 64 is kept + 1
-        den = ((kept + 1) << 64) + 2**64 - 1
-        high = kept  # num >> 64, chosen so num * scale / den is just below q
-        while high * scale % (kept + 1) > kept // 64:
-            high += 1
-        num = high << 64
-        q = _leading_floor(num, den, scale)
-        assert q > F(num * scale, den)
-        floors = (count - 1) * q
-        exact = (2 - floors) % 10**guard + 10 ** (n_digits + guard)
-        # common 1 and exponent 1: each stub node (num, den) is num / den
-        nodes = [(num, den)] * (count - 1) + [(exact, scale)]
+    @pytest.mark.parametrize("below, digits", [(1, "314159"), (0, "314158")],
+                             ids=["inside", "upper"])
+    def test_floors_a_unit_below_their_nodes_are_not_certified(
+            self, monkeypatch, below, digits):
+        # 200 stub nodes, each 1/gap short of a unit above its floor, so
+        # that v * s lies just under S + n, and a digit boundary at
+        # S + n - below.  At S + n - 1, v lies above it, so an interval that
+        # ends below it would certify the digits under it; at S + n, the
+        # interval's upper end, v lies just under it, where one unit less
+        # of width would certify
+        n_digits, count, gap = 5, 200, 10**9
+        scale = 10 ** (n_digits + pi._guard_digits(count))
+        boundary = 314159 * (scale // 10**n_digits)
+        # common 1 and exponent 1: each stub node (num, norm) is num / norm,
+        # and num = (q + 1) * gap - 1 puts its floor at q
+        floors = [0] * (count - 1) + [boundary - count + below]
+        nodes = [((q + 1) * gap - 1, scale * gap) for q in floors]
         monkeypatch.setattr(pi, "_term_nodes", lambda terms, p: (nodes, 1, 1))
+        calls = []
+        monkeypatch.setattr(pi, "power_base_sum",
+                            _recording(pi.power_base_sum, calls))
         got = self.expansion(P(1, 0), n_digits)
-        assert got == decimal_expand(sum(F(a, b) for a, b in nodes), n_digits)
-        assert got.digits() == "19999999"
+        assert len(calls) == 1
+        value = sum(F(num, norm) for num, norm in nodes)
+        assert got == decimal_expand(value, n_digits)
+        assert got.digits() == digits
 
     def test_exact_decimal_is_not_certified_as_truncated(self, monkeypatch):
         # stub nodes making every floored term exact, each term adding
