@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .arctan import arctan_closed_form, arctan_derivative_form
-from .exact import decimal_expand, matching_digits
+from .exact import matching_digits
 from .kernels import (
     arctan_deriv,
     arctan_deriv_sine_form,
@@ -26,6 +26,7 @@ from .kernels import (
 from .oracle import RationalFunction
 from .pi import (
     GAUSS_TERMS,
+    certified_expansion,
     pi_closed_form,
     pi_derivative_form,
     reference_pi,
@@ -137,10 +138,9 @@ def _check_quadrature() -> tuple[bool, str]:
 
 def _check_reference() -> tuple[bool, str]:
     expansion = reference_pi(1000)  # raises on any embedded-digit mismatch
-    gauss_taylor, _ = taylor_pi(GAUSS_TERMS, 60)
-    matched = matching_digits(decimal_expand(gauss_taylor, 60),
-                              reference_pi(60))
-    return (len(expansion.digits()) == 1001 and matched >= 55,
+    gauss = certified_expansion(lambda d: taylor_pi(GAUSS_TERMS, d), 60)
+    matched = matching_digits(gauss, reference_pi(60))
+    return (len(expansion.digits()) == 1001 and matched == 61,
             f"combination matches reference in {matched} digits")
 
 

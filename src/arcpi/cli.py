@@ -228,7 +228,8 @@ def _run_quad(args: argparse.Namespace) -> int:
         f = monomial_oracle(args.degree)
         label = f"t^{args.degree}"
         truth = Fraction(1, args.degree + 1)
-    rule = integrate_all_orders if args.rule == "eq9" else integrate_even_orders
+    rule = (integrate_all_orders if args.rule == "eq9"
+            else integrate_even_orders)
     value = rule(f, params)
     shown = exact_str(value) if args.exact \
         else str(decimal_expand(value, args.digits))

@@ -26,14 +26,13 @@ only when the two ends differ.  The public ``pi_*`` evaluators return
 reduced ``Fraction``s.
 
 Digit counts are measured against a dual-sourced reference: an embedded
-published 1000-digit constant, and Machin's formula summed by
-``taylor_pi(MACHIN_TERMS, n)`` with a rigorous alternating-series error
-bound, whose digits are those that both ends of its error interval share.
-The two must agree digit for digit or a ReferenceIntegrityError is raised;
-an approximation under test therefore never grades itself.  ``taylor_pi``
-sums any term table (criterion 7 sums ``GAUSS_TERMS``) by
-``arctan_taylor_reference``, which uses nothing from ``arctan``,
-``kernels`` or ``quadrature``, the routes it grades.
+published 1000-digit constant, and the ``certified_expansion`` of Machin's
+formula, summed by ``taylor_pi(MACHIN_TERMS, d)`` with a rigorous
+alternating-series error bound.  The two must agree digit for digit or a
+ReferenceIntegrityError is raised.  ``taylor_pi`` sums any term table by
+``arctan_taylor_reference``, which uses nothing from ``arctan``, ``kernels``
+or ``quadrature``, the routes it grades; the ``machin`` method and
+criterion 7 (``GAUSS_TERMS``) expand their sums the same way.
 """
 
 from __future__ import annotations
@@ -422,8 +421,8 @@ def certified_expansion(evaluate: Callable[[int], tuple[Fraction, Fraction]],
 @lru_cache(maxsize=None)
 def _embedded_digits() -> str:
     """Digit string '3' + 1000 fraction digits from the bundled constant."""
-    text = (resources.files("arcpi") / "data" / "pi_digits.txt").read_text("ascii")
-    compact = "".join(text.split())
+    path = resources.files("arcpi") / "data" / "pi_digits.txt"
+    compact = "".join(path.read_text("ascii").split())
     if not compact.startswith("3."):
         raise ReferenceIntegrityError("reference digits file is malformed")
     digits = "3" + compact[2:]
@@ -460,11 +459,11 @@ def measure(method: str, p: ComputationParams, n_digits: int) -> PiResult:
 
     ``n_digits`` outside 1..REFERENCE_DIGITS raises DomainError before any
     computation starts, since no result could be graded.  ``eq17`` and
-    ``gauss`` digits come from ``closed_form_expansion`` of their tables,
-    which builds no exact sum unless its certificate fails: eq17's from its
-    node floors, gauss's from the power series, with no node built.
-    ``eq18`` and ``machin`` expand their ``Fraction``.  ``elapsed_ms`` times
-    the computation and the expansion, not the grading.
+    ``gauss`` take ``closed_form_expansion``, certified by eq17's node
+    floors or gauss's power series.  ``eq18`` expands its ``Fraction``;
+    ``machin`` is the reference's own certified sum, so it matches all
+    n_digits + 1 digits by construction.  ``elapsed_ms`` times the
+    computation and the expansion, not the grading.
     """
     _check_reference_digits(n_digits)
     start = time.perf_counter()
@@ -474,8 +473,8 @@ def measure(method: str, p: ComputationParams, n_digits: int) -> PiResult:
     elif method == "eq18":
         expansion = decimal_expand(pi_derivative_form(p), n_digits)
     elif method == "machin":
-        expansion = decimal_expand(taylor_pi(MACHIN_TERMS, n_digits)[0],
-                                   n_digits)
+        expansion = certified_expansion(
+            lambda d: taylor_pi(MACHIN_TERMS, d), n_digits)
     else:
         raise ValueError(f"unknown method {method!r} (want one of {METHODS})")
     elapsed_ms = (time.perf_counter() - start) * 1000.0

@@ -1,14 +1,14 @@
 """Derivative-corrected midpoint integration over [0, 1].
 
 The base rule samples an integrand's derivatives at the L midpoint nodes
-(2*l - 1) / (2*L) and sums them with exact rational weights:
+t_l = (2*l - 1) / (2*L) and sums them with exact rational weights:
 
-    sum_{l=1..L} sum_{m=0..M} ((-1)**m + 1) / ((2L)**(m+1) (m+1)!) f^(m)(node_l)
+    sum_{l=1..L} sum_{m=0..M} ((-1)**m + 1) / ((2L)**(m+1) (m+1)!) f^(m)(t_l)
 
 Odd orders carry the factor ((-1)**m + 1) == 0, which is why the rule can
 be recast over even orders only, with m running to floor(M/2) + 1:
 
-    2 sum_{l=1..L} sum_{m=1..} 1 / ((2L)**(2m-1) (2m-1)!) f^(2m-2)(node_l)
+    2 sum_{l=1..L} sum_{m=1..} 1 / ((2L)**(2m-1) (2m-1)!) f^(2m-2)(t_l)
 
 Both forms are finite truncations, exact over rationals, and agree term by
 term: they differ only in the orders they ask the integrand for, 0..M or
@@ -27,11 +27,11 @@ and weight(m - 2) = weight(m) (2L)**2 m (m + 1): each divides the one
 before, so their lcm is the top one's denominator.  They lift to int
 coefficients c_m = W * weight(m) by one running product from the top
 even order T, c_T = 1 and c_(m-2) = c_m (2L)**2 m (m + 1), over
-W = L c_0, as weight(0) = 1/L; no lcm and no division.  A node then sums by Horner in its base, with no gcd:
-sum c * num * base**(e - k) over W * base**e, e the largest k.
-``node_sum`` adds the nodes with gcds of bases, never of the node
-denominators, and reduces once.  Exact addition is associative: the result
-is that of a term-by-term sum.
+W = L c_0, as weight(0) = 1/L; no lcm and no division.  A node then sums
+by Horner in its base, with no gcd: sum c * num * base**(e - k) over
+W * base**e, e the largest k.  ``node_sum`` adds the nodes with gcds of
+bases, never of the node denominators, and reduces once.  Exact addition
+is associative: the result is that of a term-by-term sum.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def _corrected_midpoint(
     f: DerivativeOracle, p: ComputationParams, orders: range
 ) -> Fraction:
     """sum over l = 1..L and the ``orders`` of weight(order) *
-    f^(order)(node_l): each node by Horner in its base over W * base**e,
+    f^(order)(t_l): each node by Horner in its base over W * base**e,
     then ``node_sum``.
 
     Raises ValueError when the oracle gives a base < 1, an exponent < 0 or

@@ -80,7 +80,7 @@ class TestPiCommand:
         script = (
             "import sys\n"
             "from arcpi import cli, pi\n"
-            "pi._guard_digits = lambda terms: 0\n"
+            "pi._guard_digits = lambda width: 0\n"
             "code = cli.main(sys.argv[1:])\n"
             "print('multiprocessing' in sys.modules, file=sys.stderr)\n"
             "sys.exit(code)\n")
@@ -129,8 +129,8 @@ def test_gauss_report_never_reduces(capsys, monkeypatch):
 
 
 def test_eq17_report_never_reduces(capsys, monkeypatch):
-    """`pi --method eq17` certifies its digits from the same per-node floors
-    as gauss: it builds no exact sum either."""
+    """`pi --method eq17` certifies its digits from its exact node floors:
+    it builds no exact sum either."""
     def build(*args, **kwargs):
         raise AssertionError("power_base_sum called by the pi command")
     monkeypatch.setattr(pi, "power_base_sum", build)
@@ -156,6 +156,41 @@ def test_only_eq17_builds_closed_form_nodes(capsys, monkeypatch, method,
     assert record["matched_digits"] == matched
     assert len(calls["closed_form_nodes"]) == node_calls
     assert calls["power_base_sum"] == []
+
+
+OFF_DIAGONAL_SHAPES = {"-L 1 -M 400 --digits 200": 144, "-L 3 -M 61": 51,
+                       "-L 46 -M 46 --digits 20": 21}
+
+
+@pytest.mark.parametrize("commands, counts", [
+    (["bench --suite pi-ladder --sizes 100 --digits 1000"],
+     "eq17=254 eq18=254 gauss=616"),
+    (["bench --suite pi-ladder --sizes 8,16 --digits 1000"],
+     "eq17=15 eq18=15 gauss=50 eq17=32 eq18=32 gauss=95"),
+    *(([f"pi --method eq17 {shape}", f"pi --method eq18 {shape}"],
+       f"eq17={count} eq18={count}")
+      for shape, count in OFF_DIAGONAL_SHAPES.items()),
+    (["pi --method gauss -L 1 -M 66 --digits 400"], "gauss=275"),
+    (["pi --method gauss -L 3 -M 7 --digits 60"], "gauss=36"),
+    (["pi --method gauss -L 1 -M 500 --digits 1000"], "gauss=1001"),
+    (["pi --method eq18 -L 46 -M 46 --digits 400"], "eq18=105"),
+    (["pi --method machin --digits 1000"], "machin=1001"),
+    (["pi --method machin --digits 763"], "machin=764"),
+], ids=lambda value: value[0] if isinstance(value, list) else value)
+def test_pinned_digit_counts(capsys, commands, counts):
+    """The digit counts that the workflow's steps pin, run in process
+    through ``cli.main``: each JSON record's method and matched digits, in
+    order.  The ``pi`` reports of one case also print the same digits, so
+    eq17 and eq18 agree at each off-diagonal shape."""
+    records = []
+    for command in commands:
+        code, out, err = run_cli(capsys, *command.split(), "--format",
+                                 "json")
+        assert code == 0, err
+        records += map(json.loads, out.splitlines())
+    assert " ".join(f"{r['method']}={r['matched_digits']}"
+                    for r in records) == counts
+    assert len({r.get("approx_decimal") for r in records}) == 1
 
 
 class TestIntStrLimit:

@@ -163,7 +163,7 @@ class _ExpansionTests:
     def test_no_guard_falls_back_to_the_pair(self, monkeypatch):
         p = P(4, 6)
         want = decimal_expand(self.exact(p), 50)
-        monkeypatch.setattr(pi, "_guard_digits", lambda terms: 0)
+        monkeypatch.setattr(pi, "_guard_digits", lambda width: 0)
         calls = []
         monkeypatch.setattr(pi, "_term_nodes",
                             _recording(pi._term_nodes, calls))
@@ -177,7 +177,7 @@ class _ExpansionTests:
                                                       L, M):
         # the certificate interval now often straddles a digit boundary:
         # the bound must catch every such case
-        monkeypatch.setattr(pi, "_guard_digits", lambda terms: 1)
+        monkeypatch.setattr(pi, "_guard_digits", lambda width: 1)
         p = P(L, M)
         exact = self.exact(p)
         for n in (1, 5, 20, 50):
@@ -622,9 +622,14 @@ class TestMeasure:
         assert r.method == "eq17"
         assert r.elapsed_ms >= 0
 
-    def test_machin_method(self):
-        r = measure("machin", P(1, 1), 200)
-        assert r.matched_digits == 201
+    @pytest.mark.parametrize("n", [200, 763, 1000])
+    def test_machin_method(self, n):
+        # the reference's own certified sum; 763 digits end inside the
+        # Feynman point's 9s, where the Taylor sum at that precision
+        # expands past a digit boundary
+        r = measure("machin", P(1, 1), n)
+        assert r.matched_digits == n + 1
+        assert r.expansion == reference_pi(n)
 
     @pytest.mark.parametrize("method", ["eq17", "gauss"])
     def test_result_keeps_graded_expansion(self, method):
